@@ -9,7 +9,6 @@ has one.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -216,67 +215,40 @@ class FitReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _branch_model(theta: dict[str, float], b: float) -> tuple[float, float, dict]:
-    """Dressed branch pair and partials at one field for the current parameters."""
-    gamma = theta["g_factor"] * GHZ_PER_TESLA_PER_G
-    f_m = theta["f_afmr0"] - gamma * b
-    clamped = f_m < 0.0
-    f_m = max(0.0, f_m)
-    half = 0.5 * (theta["f_cavity"] - f_m)
-    radius = math.hypot(half, theta["big_g"])
-    mean = 0.5 * (theta["f_cavity"] + f_m)
-    aux = {"half": half, "radius": radius, "clamped": clamped, "b": b}
-    return mean - radius, mean + radius, aux
-
-
-def _branch_gradient(theta, aux, upper: bool) -> dict[str, float]:
-    """Analytic partials of one dressed branch w.r.t. the model parameters."""
-    sign = 1.0 if upper else -1.0
-    radius = max(aux["radius"], 1e-300)
-    half = aux["half"]
-    d_dg = sign * theta["big_g"] / radius  # d branch / d big_g
-    d_dfc = 0.5 + sign * half / (2.0 * radius)
-    d_dfm = 0.5 - sign * half / (2.0 * radius)
-    if aux["clamped"]:
-        d_f0 = 0.0
-        d_gf = 0.0
-    else:
-        d_f0 = d_dfm
-        d_gf = d_dfm * (-GHZ_PER_TESLA_PER_G * aux["b"])
-    return {"big_g": d_dg, "f_afmr0": d_f0, "g_factor": d_gf, "f_cavity": d_dfc}
-
-
 def _make_objective(b_arr: np.ndarray, p_arr: np.ndarray, baseline: dict, names):
     """Residual and analytic-Jacobian functions for the branch fit.
 
     Each observed peak is re-assigned to the nearest model branch on every
     evaluation; the Jacobian differentiates the branch currently assigned.
+    A branch moves with f_m at its magnon weight, with f_cavity at the rest,
+    and with G at ±G/r (r the half splitting); a clamped magnon frequency no
+    longer moves with f_afmr0 or g_factor.
     """
 
-    def unpack(x: np.ndarray) -> dict[str, float]:
+    def model(x: np.ndarray):
         theta = dict(baseline)
         theta.update(zip(names, x))
-        return theta
+        f_m, _, clamped = core.zeeman_branches(theta["f_afmr0"], theta["g_factor"], b_arr)
+        lower, upper, weight = core.dressed_modes(theta["f_cavity"], f_m, theta["big_g"])
+        pick_upper = np.abs(p_arr - upper) < np.abs(p_arr - lower)
+        return theta, clamped, lower, upper, weight, pick_upper
 
     def residual(x: np.ndarray) -> np.ndarray:
-        theta = unpack(x)
-        res = np.empty(p_arr.size)
-        for k in range(p_arr.size):
-            lower, upper, _ = _branch_model(theta, b_arr[k])
-            res[k] = p_arr[k] - (
-                upper if abs(p_arr[k] - upper) < abs(p_arr[k] - lower) else lower
-            )
-        return res
+        _, _, lower, upper, _, pick_upper = model(x)
+        return p_arr - np.where(pick_upper, upper, lower)
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        theta = unpack(x)
-        jac = np.empty((p_arr.size, len(names)))
-        for k in range(p_arr.size):
-            lower, upper, aux = _branch_model(theta, b_arr[k])
-            pick_upper = abs(p_arr[k] - upper) < abs(p_arr[k] - lower)
-            grad = _branch_gradient(theta, aux, upper=pick_upper)
-            jac[k] = [-grad[name] for name in names]
-        return jac
+        theta, clamped, lower, upper, weight, pick_upper = model(x)
+        d_fm = np.where(pick_upper, weight, 1.0 - weight)
+        d_f0 = np.where(clamped, 0.0, d_fm)
+        half_splitting = np.maximum(0.5 * (upper - lower), 1e-300)
+        grad = {
+            "big_g": np.where(pick_upper, 1.0, -1.0) * theta["big_g"] / half_splitting,
+            "f_afmr0": d_f0,
+            "g_factor": d_f0 * (-GHZ_PER_TESLA_PER_G * b_arr),
+            "f_cavity": 1.0 - d_fm,
+        }
+        return -np.column_stack([grad[name] for name in names])
 
     return residual, jacobian
 
@@ -457,10 +429,8 @@ def magnon_linewidth_estimate(
     bare slope therefore yields gamma_m + (1-w_m)/w_m * kappa_tot; this
     subtracts the cavity term to estimate the bare magnon linewidth.
     """
-    half = 0.5 * (cavity.f_cavity - f_magnon)
-    radius = math.hypot(half, coupling.big_g)
-    sign = 1.0 if upper_branch else -1.0
-    magnon_weight = 0.5 - sign * half / (2.0 * max(radius, 1e-300))
+    _, _, upper_weight = core.dressed_modes(cavity.f_cavity, f_magnon, coupling.big_g)
+    magnon_weight = float(upper_weight if upper_branch else 1.0 - upper_weight)
     if magnon_weight <= 0:
         raise ValueError("branch has no magnon content at this detuning")
     cavity_weight = 1.0 - magnon_weight

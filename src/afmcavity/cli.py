@@ -9,11 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, core, phase, spectra
 from .analysis import ConvergenceError, FitError
-from .config import ConfigError, GridSpec, RunConfig, load_config
+from .config import ConfigError, GridSpec, RunConfig, build_section, load_config
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -37,24 +38,20 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load(args) -> RunConfig:
-    return load_config(args.config)
-
-
 def _map_params(tmap: spectra.TransmissionMap, cfg: RunConfig):
     """Model parameters for an analysis run: map metadata first, config second."""
     meta = tmap.metadata or {}
-    spins = core.SpinSystemParams(**meta["spins"]) if "spins" in meta else cfg.spins
-    cavity = core.CavityParams(**meta["cavity"]) if "cavity" in meta else cfg.cavity
-    coupling = (
-        core.CouplingParams(**meta["coupling"]) if "coupling" in meta else cfg.coupling
-    )
-    loss = spectra.LossParams(**meta["loss"]) if "loss" in meta else cfg.loss
-    return spins, cavity, coupling, loss
+    try:
+        return tuple(
+            getattr(cfg, name) if meta.get(name) is None else build_section(name, meta[name])
+            for name in ("spins", "cavity", "coupling", "loss")
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"map sidecar: {exc}") from None
 
 
 def cmd_dispersion(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     grid = cfg.field_grid
     if args.b_min is not None or args.b_max is not None or args.b_step is not None:
         grid = GridSpec(
@@ -62,11 +59,12 @@ def cmd_dispersion(args) -> int:
             stop=grid.stop if args.b_max is None else args.b_max,
             step=grid.step if args.b_step is None else args.b_step,
         )
+    fields = grid.samples()
+    if (fields < 0).any():  # samples ascend, so the first is the lowest
+        raise ValueError(f"field must be >= 0, got {float(fields[0])}")
     flop = core.spin_flop_field(cfg.spins)
-    rows = []
-    for b in grid.samples():
-        branches = core.magnon_branches(cfg.spins, float(b))
-        rows.append((float(b), branches.lower, branches.upper, int(branches.clamped)))
+    lower, upper, clamped = core.zeeman_branches(cfg.spins.f_afmr0, cfg.spins.g_factor, fields)
+    rows = list(zip(fields.tolist(), lower.tolist(), upper.tolist(), clamped.astype(int).tolist()))
     if args.format == "json":
         payload = {
             "spin_flop_field_t": flop,
@@ -84,7 +82,12 @@ def cmd_dispersion(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
+    out = args.out or "transmission_map.csv"
+    if args.config and Path(args.config).resolve() in (
+        Path(out).resolve(), spectra.sidecar_path(out).resolve()
+    ):
+        raise ConfigError(f"--out {out} would overwrite the config {args.config}")
     field_axis = cfg.field_grid.samples()
     freq_axis = cfg.freq_grid.samples()
     tmap = spectra.synthesize_map(
@@ -96,13 +99,12 @@ def cmd_sweep(args) -> int:
     metadata = dict(tmap.metadata or {})
     metadata["config"] = cfg.to_dict()
     tmap = spectra.TransmissionMap(tmap.field_axis, tmap.freq_axis, tmap.values, metadata)
-    out = args.out or "transmission_map.csv"
     spectra.save_map(tmap, out, db=args.db)
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     tmap = spectra.load_map(args.map)
     spins, cavity, coupling, loss = _map_params(tmap, cfg)
     free = tuple(name.strip() for name in args.free.split(",") if name.strip())
@@ -117,21 +119,10 @@ def cmd_fit(args) -> int:
         coupling=None if "big_g" in free else coupling,
     )
     payload = report.to_json_dict()
-    fitted_g = (
-        report.value_of("big_g") if "big_g" in report.parameter_names else coupling.big_g
-    )
-    fitted_fc = (
-        report.value_of("f_cavity")
-        if "f_cavity" in report.parameter_names
-        else cavity.f_cavity
-    )
+    fitted = {**report.fixed, **payload["parameters"]}
     regime = core.coupling_regime(
-        core.CouplingParams(big_g=abs(fitted_g)),
-        core.CavityParams(
-            f_cavity=fitted_fc,
-            quality_factor=cavity.quality_factor,
-            external_coupling_fraction=cavity.external_coupling_fraction,
-        ),
+        core.CouplingParams(big_g=abs(fitted["big_g"])),
+        replace(cavity, f_cavity=fitted["f_cavity"]),
         loss.magnon_linewidth,
     )
     payload["regime"] = {"label": regime.label, "ratio": regime.ratio}
@@ -140,7 +131,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_linewidth(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     tmap = spectra.load_map(args.map)
     spins, cavity, coupling, loss = _map_params(tmap, cfg)
     cut = spectra.vertical_cut(tmap, args.freq)
@@ -186,7 +177,7 @@ def cmd_trend(args) -> int:
 
 
 def cmd_phase_map(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     b_grid = GridSpec(start=args.b_min, stop=args.b_max, step=args.b_step)
     t_grid = GridSpec(start=args.t_min, stop=args.t_max, step=args.t_step)
     fields = b_grid.samples()

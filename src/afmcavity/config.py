@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CavityParams, CouplingParams, SpinSystemParams
+from .core import CavityParams, CouplingParams, SpinSystemParams, params_dict
 from .phase import PhaseBoundaries
 from .spectra import LossParams
 
@@ -91,9 +91,7 @@ class RunConfig:
             if key not in known:
                 raise ConfigError(f"unknown key: {key}")
 
-        sections = {}
-        for name, section_type in _SECTION_TYPES.items():
-            sections[name] = _build_section(name, section_type, raw.get(name))
+        sections = {name: build_section(name, raw.get(name)) for name in _SECTION_TYPES}
         if sections["loss"] is None:
             sections["loss"] = LossParams.from_cavity(sections["cavity"])
 
@@ -108,14 +106,7 @@ class RunConfig:
         return cls(seed=seed, noise_sigma_db=float(noise), **sections)
 
     def to_dict(self) -> dict:
-        out = {}
-        for name, section_type in _SECTION_TYPES.items():
-            value = getattr(self, name)
-            out[name] = {
-                f.name: getattr(value, f.name)
-                for f in dataclass_fields(section_type)
-                if getattr(value, f.name) is not None
-            }
+        out = {name: params_dict(getattr(self, name)) for name in _SECTION_TYPES}
         out["seed"] = self.seed
         out["noise_sigma_db"] = self.noise_sigma_db
         return out
@@ -124,7 +115,9 @@ class RunConfig:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _build_section(name: str, section_type, raw):
+def build_section(name: str, raw):
+    """Strictly parse one config section; ``None`` gives the section default."""
+    section_type = _SECTION_TYPES[name]
     if raw is None:
         if name in _DEFAULT_GRIDS:
             return _DEFAULT_GRIDS[name]

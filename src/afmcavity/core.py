@@ -10,7 +10,9 @@ here is pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from .constants import GHZ_PER_TESLA_PER_G
 
@@ -73,10 +75,10 @@ class CouplingParams:
     def __post_init__(self):
         if _require_finite("big_g", self.big_g) < 0:
             raise ValueError("big_g must be >= 0")
-        if (self.n_spins is None) != (self.g_single is None):
+        if self.n_spins is None and self.g_single is None:
             return
-        if self.n_spins is None:
-            return
+        if self.n_spins is None or self.g_single is None:
+            raise ValueError("n_spins and g_single must be given together")
         if self.n_spins < 0 or self.g_single < 0:
             raise ValueError("n_spins and g_single must be >= 0")
         expected = collective_coupling(self.n_spins, self.g_single)
@@ -107,22 +109,47 @@ class BranchPair:
             raise ValueError(f"lower={self.lower} exceeds upper={self.upper}")
 
 
-def magnon_branches(spins: SpinSystemParams, field: float) -> BranchPair:
-    """Zeeman-split resonance pair at the given field.
+def params_dict(params) -> dict:
+    """Plain-dict form of a parameter dataclass, leaving out unset optional fields."""
+    return {name: value for name, value in asdict(params).items() if value is not None}
+
+
+def zeeman_branches(f_afmr0, g_factor, field):
+    """Zeeman-split resonance pair over a field array: (lower, upper, clamped).
 
     upper = f_afmr0 + g * gamma1 * B, lower = f_afmr0 - g * gamma1 * B with
-    gamma1 = 13.996245 GHz/T.  The lower branch is clamped at 0 (and flagged)
-    past the spin-flop field, where this linear model no longer applies.
+    gamma1 = 13.996245 GHz/T.  The lower branch is clamped at 0 past the
+    spin-flop field, where this linear model no longer applies, and the
+    boolean mask ``clamped`` marks those entries.
     """
+    zeeman = g_factor * GHZ_PER_TESLA_PER_G * np.asarray(field, dtype=float)
+    lower = f_afmr0 - zeeman
+    return np.maximum(lower, 0.0), f_afmr0 + zeeman, lower < 0.0
+
+
+def dressed_modes(f_c, f_m, big_g):
+    """Eigenvalues of [[f_c, G], [G, f_m]] over arrays: (lower, upper, w).
+
+    f± = (f_c + f_m)/2 ± r with r = sqrt(((f_c - f_m)/2)² + G²), so the
+    splitting is at least 2G, with equality exactly on resonance.  ``w`` is
+    the magnon weight of the upper branch, 1/2 - (f_c - f_m)/(4r); the lower
+    branch holds 1 - w.  Each branch moves with f_m at its magnon weight and
+    with f_c at the rest.
+    """
+    mean = 0.5 * (f_c + f_m)
+    half_detuning = 0.5 * (f_c - f_m)
+    radius = np.hypot(half_detuning, big_g)
+    upper_weight = 0.5 - half_detuning / (2.0 * np.maximum(radius, 1e-300))
+    return mean - radius, mean + radius, upper_weight
+
+
+def magnon_branches(spins: SpinSystemParams, field: float) -> BranchPair:
+    """Zeeman-split resonance pair at one field (see :func:`zeeman_branches`)."""
     field = _require_finite("field", field)
     if field < 0:
         raise ValueError(f"field must be >= 0, got {field}")
-    zeeman = spins.g_factor * GHZ_PER_TESLA_PER_G * field
-    lower = spins.f_afmr0 - zeeman
-    clamped = lower < 0.0
-    return BranchPair(
-        lower=max(0.0, lower), upper=spins.f_afmr0 + zeeman, clamped=clamped
-    )
+    lower, upper, clamped = zeeman_branches(spins.f_afmr0, spins.g_factor, field)
+    return BranchPair(lower=float(lower), upper=float(upper), clamped=bool(clamped))
 
 
 def spin_flop_field(spins: SpinSystemParams) -> float:
@@ -133,19 +160,12 @@ def spin_flop_field(spins: SpinSystemParams) -> float:
 def polariton_frequencies(
     cavity: CavityParams, f_magnon: float, coupling: CouplingParams
 ) -> BranchPair:
-    """Dressed-state frequencies of the coupled cavity-magnon pair.
-
-    Eigenvalues of [[f_c, G], [G, f_m]]:
-    f± = (f_c + f_m)/2 ± sqrt(((f_c - f_m)/2)² + G²), so the splitting is
-    at least 2G, with equality exactly on resonance.
-    """
+    """Dressed-state frequencies of the coupled cavity-magnon pair (see :func:`dressed_modes`)."""
     f_magnon = _require_finite("f_magnon", f_magnon)
     if f_magnon < 0:
         raise ValueError(f"f_magnon must be >= 0, got {f_magnon}")
-    mean = 0.5 * (cavity.f_cavity + f_magnon)
-    half_detuning = 0.5 * (cavity.f_cavity - f_magnon)
-    radius = math.hypot(half_detuning, coupling.big_g)
-    return BranchPair(lower=mean - radius, upper=mean + radius)
+    lower, upper, _ = dressed_modes(cavity.f_cavity, f_magnon, coupling.big_g)
+    return BranchPair(lower=float(lower), upper=float(upper))
 
 
 def crossing_field(spins: SpinSystemParams, cavity: CavityParams) -> float:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import core
 
 ANTIFERROMAGNETIC = "antiferromagnetic"
@@ -91,6 +93,39 @@ def paramagnetic_boundary(t: float, boundaries: PhaseBoundaries) -> float:
     return boundaries.saturation_field * reduced ** (1.0 / boundaries.neel_exponent)
 
 
+_LABELS = np.array([ANTIFERROMAGNETIC, SPIN_FLOP, PARAMAGNETIC], dtype=object)
+
+
+def _curve(line, x: np.ndarray, boundaries: PhaseBoundaries) -> np.ndarray:
+    return np.array([line(v, boundaries) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _phase_labels(b: np.ndarray, t: np.ndarray, boundaries: PhaseBoundaries | None):
+    """Phase names over broadcastable field and temperature arrays.
+
+    The three rules run as masks; each boundary curve is evaluated with the
+    scalar function above once per given coordinate, so a point that function
+    places on the curve is judged on it bit for bit.
+    """
+    if boundaries is None:
+        boundaries = PhaseBoundaries()
+    paramagnetic = (t >= _curve(neel_temperature_at, b, boundaries)) | (
+        b >= _curve(paramagnetic_boundary, t, boundaries)
+    )
+    # at or above the zero-field ordering temperature every point is paramagnetic
+    ordered_t = np.where(t < boundaries.neel_temperature, t, 0.0)
+    antiferro = b < _curve(spin_flop_boundary, ordered_t, boundaries)
+    return _LABELS[np.where(paramagnetic, 2, np.where(antiferro, 0, 1))]
+
+
+def _validated(name: str, values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    bad = values[~(np.isfinite(values) & (values >= 0))]
+    if bad.size:
+        raise ValueError(f"{name} must be finite and >= 0, got {float(bad[0])!r}")
+    return values
+
+
 def classify_phase(
     b: float, t: float, boundaries: PhaseBoundaries | None = None
 ) -> str:
@@ -99,26 +134,11 @@ def classify_phase(
     Points exactly on a boundary go to the higher-symmetry side
     (paramagnetic over spin-flop over antiferromagnetic).
     """
-    if boundaries is None:
-        boundaries = PhaseBoundaries()
-    if not math.isfinite(b) or b < 0:
-        raise ValueError(f"field must be finite and >= 0, got {b!r}")
-    if not math.isfinite(t) or t < 0:
-        raise ValueError(f"temperature must be finite and >= 0, got {t!r}")
-    if t >= neel_temperature_at(b, boundaries):
-        return PARAMAGNETIC
-    if b >= paramagnetic_boundary(t, boundaries):
-        return PARAMAGNETIC
-    if b < spin_flop_boundary(t, boundaries):
-        return ANTIFERROMAGNETIC
-    return SPIN_FLOP
+    return _phase_labels(_validated("field", b), _validated("temperature", t), boundaries)
 
 
 def phase_grid(field_axis, temperature_axis, boundaries: PhaseBoundaries | None = None):
     """Classify every point of a rectangular raster; rows follow the field axis."""
-    if boundaries is None:
-        boundaries = PhaseBoundaries()
-    return [
-        [classify_phase(float(b), float(t), boundaries) for t in temperature_axis]
-        for b in field_axis
-    ]
+    b = _validated("field", field_axis)[:, None]
+    t = _validated("temperature", temperature_axis)[None, :]
+    return _phase_labels(b, t, boundaries).tolist()

@@ -173,37 +173,20 @@ def synthesize_map(
     if np.any(freq_axis <= 0):
         raise ValueError("frequencies must be > 0")
 
-    flop = core.spin_flop_field(spins)
+    f_magnon, _, clamped = core.zeeman_branches(spins.f_afmr0, spins.g_factor, field_axis)
     decoupled = CouplingParams(big_g=0.0)
     values = np.empty((field_axis.size, freq_axis.size))
-    beyond = []
-    for i, b in enumerate(field_axis):
-        branches = core.magnon_branches(spins, float(b))
-        if branches.clamped:
-            beyond.append(float(b))
-            values[i] = _evaluate_s21(freq_axis, branches.lower, cavity, decoupled, loss)
-        else:
-            values[i] = _evaluate_s21(freq_axis, branches.lower, cavity, coupling, loss)
+    for i in range(field_axis.size):
+        row_coupling = decoupled if clamped[i] else coupling
+        values[i] = _evaluate_s21(freq_axis, f_magnon[i], cavity, row_coupling, loss)
 
     metadata = {
-        "spins": {
-            "g_factor": spins.g_factor,
-            "f_afmr0": spins.f_afmr0,
-            "neel_temperature": spins.neel_temperature,
-        },
-        "cavity": {
-            "f_cavity": cavity.f_cavity,
-            "quality_factor": cavity.quality_factor,
-            "external_coupling_fraction": cavity.external_coupling_fraction,
-        },
-        "coupling": {"big_g": coupling.big_g},
-        "loss": {
-            "cavity_internal_linewidth": loss.cavity_internal_linewidth,
-            "cavity_external_linewidth": loss.cavity_external_linewidth,
-            "magnon_linewidth": loss.magnon_linewidth,
-        },
-        "spin_flop_field": flop,
-        "beyond_spin_flop_fields": beyond,
+        "spins": core.params_dict(spins),
+        "cavity": core.params_dict(cavity),
+        "coupling": core.params_dict(coupling),
+        "loss": core.params_dict(loss),
+        "spin_flop_field": core.spin_flop_field(spins),
+        "beyond_spin_flop_fields": field_axis[clamped].tolist(),
     }
     return TransmissionMap(field_axis, freq_axis, values, metadata)
 
@@ -331,12 +314,16 @@ def map_from_csv(text: str) -> TransmissionMap:
     return TransmissionMap(field_axis, freq_axis, values)
 
 
+def sidecar_path(csv_path) -> Path:
+    """The JSON metadata sidecar of a CSV map: same stem, ``.json`` suffix."""
+    return Path(csv_path).with_suffix(".json")
+
+
 def save_map(tmap: TransmissionMap, csv_path, db: bool = False) -> Path:
     """Write the CSV plus a JSON metadata sidecar with the same stem."""
     csv_path = Path(csv_path)
     csv_path.write_text(map_to_csv(tmap, db=db))
-    sidecar = csv_path.with_suffix(".json")
-    sidecar.write_text(
+    sidecar_path(csv_path).write_text(
         json.dumps(tmap.metadata or {}, sort_keys=True, indent=2) + "\n"
     )
     return csv_path
@@ -346,7 +333,7 @@ def load_map(csv_path) -> TransmissionMap:
     """Read a CSV map and, if present, its JSON metadata sidecar."""
     csv_path = Path(csv_path)
     tmap = map_from_csv(csv_path.read_text())
-    sidecar = csv_path.with_suffix(".json")
+    sidecar = sidecar_path(csv_path)
     metadata = None
     if sidecar.exists():
         metadata = json.loads(sidecar.read_text())

@@ -1,11 +1,14 @@
 """Tests for peak extraction, branch fitting, linewidths, and trend fits."""
 
+import math
+
 import numpy as np
 import pytest
 
 import afmcavity as ac
 from afmcavity import analysis, optimize
 from afmcavity.analysis import _make_objective
+from afmcavity.constants import GHZ_PER_TESLA_PER_G
 from conftest import map_freq_step
 
 
@@ -250,6 +253,49 @@ class TestFitJacobian:
             numeric = optimize.numerical_jacobian(residual, x, rel_step=1e-6)
             scale = np.max(np.abs(analytic)) + 1.0
             assert np.max(np.abs(analytic - numeric)) / scale < 1e-5
+
+    @staticmethod
+    def _reference_branch(theta, b, p):
+        """One observation's branch and partials, evaluated scalar by scalar."""
+        f_m = theta["f_afmr0"] - theta["g_factor"] * GHZ_PER_TESLA_PER_G * b
+        clamped = f_m < 0.0
+        f_m = max(0.0, f_m)
+        half = 0.5 * (theta["f_cavity"] - f_m)
+        radius = math.hypot(half, theta["big_g"])
+        mean = 0.5 * (theta["f_cavity"] + f_m)
+        upper = abs(p - (mean + radius)) < abs(p - (mean - radius))
+        sign = 1.0 if upper else -1.0
+        floor = max(radius, 1e-300)
+        d_dfm = 0.5 - sign * half / (2.0 * floor)
+        grad = {
+            "big_g": sign * theta["big_g"] / floor,
+            "f_afmr0": 0.0 if clamped else d_dfm,
+            "g_factor": 0.0 if clamped else d_dfm * (-GHZ_PER_TESLA_PER_G * b),
+            "f_cavity": 0.5 + sign * half / (2.0 * floor),
+        }
+        return mean + sign * radius, grad
+
+    def test_matches_per_observation_reference(self):
+        rng = np.random.default_rng(2024)
+        names = ("big_g", "f_afmr0", "g_factor", "f_cavity")
+        for _ in range(100):
+            baseline = {
+                "big_g": rng.uniform(0.0, 3.0),
+                "f_afmr0": rng.uniform(20.0, 50.0),
+                "g_factor": rng.uniform(1.0, 4.0),
+                "f_cavity": rng.uniform(5.0, 20.0),
+            }
+            # fields up to 1.5 T reach past the spin-flop field of many draws
+            b_arr = rng.uniform(0.0, 1.5, size=30)
+            p_arr = rng.uniform(0.0, 45.0, size=30)
+            residual, jacobian = _make_objective(b_arr, p_arr, baseline, names)
+            x = np.array([baseline[n] for n in names])
+            expected = [self._reference_branch(baseline, b, p) for b, p in zip(b_arr, p_arr)]
+            branch = np.array([e[0] for e in expected])
+            ref_jac = np.array([[-e[1][n] for n in names] for e in expected])
+            assert np.all(np.abs((p_arr - residual(x)) - branch) <= 1e-12 * np.abs(branch))
+            error = np.max(np.abs(jacobian(x) - ref_jac), axis=0)
+            assert np.all(error <= 1e-12 * np.max(np.abs(ref_jac), axis=0))
 
 
 class TestFieldLinewidth:

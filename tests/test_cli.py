@@ -129,6 +129,17 @@ class TestSweep:
         meta = json.loads(out.with_suffix(".json").read_text())
         assert meta["noise"]["seed"] == 31
 
+    def test_refuses_to_overwrite_its_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        text = json.dumps({"field_grid": {"start": 0.0, "stop": 0.1, "step": 0.05}})
+        cfg.write_text(text)
+        for out in ("run.csv", "run.json"):
+            code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / out)])
+            assert code == 2
+            assert "overwrite the config" in capsys.readouterr().err
+        assert cfg.read_text() == text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
 
 class TestFit:
     def test_recovers_coupling_and_reports_regime(self, sweep_map, tmp_path, capsys):
@@ -265,6 +276,16 @@ class TestExitCodes:
         code = main(["dispersion", "--config", str(cfg)])
         assert code == 2
         assert "g_facto" in capsys.readouterr().err
+
+    def test_unknown_sidecar_key_exit_2(self, sweep_map, tmp_path, capsys):
+        csv = tmp_path / "map.csv"
+        csv.write_bytes(sweep_map.read_bytes())
+        meta = json.loads(sweep_map.with_suffix(".json").read_text())
+        meta["spins"]["bogus"] = 1.0
+        csv.with_suffix(".json").write_text(json.dumps(meta))
+        for args in (["fit", str(csv)], ["linewidth", str(csv), "--freq", "11.0"]):
+            assert main(args) == 2
+            assert "spins.bogus" in capsys.readouterr().err
 
     def test_unconverged_fit_exit_3(self, sweep_map, monkeypatch, capsys):
         from afmcavity import analysis as analysis_module

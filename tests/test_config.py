@@ -96,6 +96,11 @@ class TestRunConfig:
         )
         assert cfg.coupling.n_spins == 4.0
 
+    @pytest.mark.parametrize("partial", [{"n_spins": 4.0}, {"g_single": 0.5}])
+    def test_coupling_half_decomposition_rejected(self, partial):
+        with pytest.raises(ConfigError, match="coupling"):
+            RunConfig.from_dict({"coupling": {"big_g": 1.0, **partial}})
+
 
 class TestLoadConfig:
     def test_missing_path_means_defaults(self):

@@ -55,8 +55,14 @@ class TestParams:
         assert params.big_g == 1.0
 
     def test_coupling_decomposition_inconsistent(self):
-        with pytest.raises(ValueError):
-            ac.CouplingParams(big_g=1.1, n_spins=4.0, g_single=0.5)
+        for kwargs in (
+            {"big_g": 1.1, "n_spins": 4.0, "g_single": 0.5},
+            {"big_g": 1.0, "n_spins": -5.0},
+            {"big_g": 1.0, "n_spins": 4.0},
+            {"big_g": 1.0, "g_single": 0.5},
+        ):
+            with pytest.raises(ValueError):
+                ac.CouplingParams(**kwargs)
 
     def test_negative_big_g_rejected(self):
         with pytest.raises(ValueError):
@@ -206,6 +212,34 @@ class TestPolaritonFrequencies:
         for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 ac.polariton_frequencies(cavity, bad, coupling)
+
+
+class TestModelKernels:
+    def test_dressed_modes_match_eigensolver_over_arrays(self):
+        rng = np.random.default_rng(11)
+        fc = rng.uniform(1.0, 50.0, size=2000)
+        fm = rng.uniform(0.0, 60.0, size=2000)
+        g = rng.uniform(0.0, 5.0, size=2000)
+        fm[:50] = fc[:50]  # exactly on resonance, G = 0 for the first 10
+        g[:10] = 0.0
+        lower, upper, weight = ac.core.dressed_modes(fc, fm, g)
+        eigvals, eigvecs = np.linalg.eigh(np.stack([[fc, g], [g, fm]]).transpose(2, 0, 1))
+        scale = np.max(np.abs(eigvals), axis=1)
+        assert np.all(np.abs(lower - eigvals[:, 0]) <= 1e-12 * scale)
+        assert np.all(np.abs(upper - eigvals[:, 1]) <= 1e-12 * scale)
+        # magnon weight of the upper mode: its eigenvector's magnon component²
+        resolved = slice(10, None)  # G = 0 on resonance leaves the modes degenerate
+        assert np.allclose(weight[resolved], eigvecs[resolved, 1, 1] ** 2, rtol=0, atol=1e-10)
+        assert np.all(lower[:10] == fc[:10]) and np.all(upper[:10] == fc[:10])
+        assert np.all(weight[:10] == 0.5)
+
+    def test_zeeman_branches_over_arrays(self, spins):
+        fields = np.array([0.0, 0.5, spins.f_afmr0 / (2 * GAMMA_ORACLE), 1.3])
+        lower, upper, clamped = ac.core.zeeman_branches(spins.f_afmr0, spins.g_factor, fields)
+        bare = spins.f_afmr0 - 2 * GAMMA_ORACLE * fields
+        assert lower == pytest.approx(np.maximum(bare, 0.0), abs=1e-9)
+        assert upper == pytest.approx(spins.f_afmr0 + 2 * GAMMA_ORACLE * fields, rel=1e-9)
+        assert clamped.tolist() == [False, False, bool(bare[2] < 0), True]
 
 
 class TestCrossingField:

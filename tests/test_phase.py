@@ -135,3 +135,61 @@ class TestPhaseGrid:
     def test_known_point_in_afm_region(self, bounds):
         labels = ac.phase_grid([0.5], [1.0], bounds)
         assert labels[0][0] == ac.ANTIFERROMAGNETIC
+
+
+def reference_phase(b, t, bd):
+    """Scalar classifier with its own copy of the three boundary curves."""
+    neel_line = bd.neel_temperature * max(
+        0.0, 1.0 - (b / bd.critical_field) ** bd.neel_exponent
+    )
+    if t >= neel_line:
+        return ac.PARAMAGNETIC
+    saturation_line = bd.saturation_field * (1.0 - t / bd.neel_temperature) ** (
+        1.0 / bd.neel_exponent
+    )
+    if b >= saturation_line:
+        return ac.PARAMAGNETIC
+    flop_line = bd.spin_flop_field * (
+        1.0 - (t / bd.neel_temperature) ** bd.spin_flop_exponent
+    )
+    if b < flop_line:
+        return ac.ANTIFERROMAGNETIC
+    return ac.SPIN_FLOP
+
+
+class TestPhaseKernelOracle:
+    @staticmethod
+    def random_boundaries(rng):
+        flop = rng.uniform(0.2, 2.0)
+        return ac.PhaseBoundaries(
+            neel_temperature=rng.uniform(0.5, 5.0),
+            spin_flop_field=flop,
+            neel_exponent=rng.uniform(0.5, 4.0),
+            critical_field=rng.uniform(0.5, 4.0),
+            saturation_field=flop * rng.uniform(1.05, 3.0),
+            spin_flop_exponent=rng.uniform(0.5, 4.0),
+        )
+
+    def test_matches_scalar_reference_on_and_off_boundaries(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            bd = self.random_boundaries(rng)
+            t_cold = rng.uniform(0.0, bd.neel_temperature, size=6)
+            b_low = rng.uniform(0.0, bd.critical_field, size=6)
+            # points placed exactly on each boundary curve, plus random points
+            points = [(0.0, bd.neel_temperature)]
+            for t in t_cold.tolist():
+                points.append((bd.spin_flop_field * (
+                    1.0 - (t / bd.neel_temperature) ** bd.spin_flop_exponent), t))
+                points.append((bd.saturation_field * (1.0 - t / bd.neel_temperature) ** (
+                    1.0 / bd.neel_exponent), t))
+            for b in b_low.tolist():
+                points.append((b, bd.neel_temperature * max(
+                    0.0, 1.0 - (b / bd.critical_field) ** bd.neel_exponent)))
+            points += zip(rng.uniform(0.0, 4.0, 20).tolist(), rng.uniform(0.0, 6.0, 20).tolist())
+            for b, t in points:
+                assert ac.classify_phase(b, t, bd) == reference_phase(b, t, bd)
+            fields = [b for b, _ in points]
+            temps = [t for _, t in points]
+            grid = ac.phase_grid(fields, temps, bd)
+            assert grid == [[reference_phase(b, t, bd) for t in temps] for b in fields]

@@ -103,6 +103,12 @@ class TestSynthesizeMap:
         tmap = ac.synthesize_map([0.3], [11.0], spins, cavity, coupling, loss)
         assert tmap.shape == (1, 1)
         assert tmap.values[0, 0] == ac.s21_power(11.0, 0.3, spins, cavity, coupling, loss)
+        fields = [0.0, 0.3, 0.62, 0.6617, 0.7, 1.1, 1.2]
+        freqs = [8.0, 9.53, 11.0, 11.245, 12.9, 15.0]
+        tmap = ac.synthesize_map(fields, freqs, spins, cavity, coupling, loss)
+        for i, b in enumerate(fields):
+            for j, f in enumerate(freqs):
+                assert tmap.values[i, j] == ac.s21_power(f, b, spins, cavity, coupling, loss)
 
     def test_zero_coupling_columns_identical(self, spins, cavity, zero_coupling, loss):
         tmap = ac.synthesize_map(
