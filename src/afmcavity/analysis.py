@@ -16,7 +16,7 @@ import numpy as np
 from . import core, optimize
 from .constants import GHZ_PER_TESLA_PER_G
 from .core import CavityParams, CouplingParams, SpinSystemParams
-from .spectra import TransmissionMap, VerticalCut
+from .spectra import TransmissionMap, VerticalCut, write_csv
 
 PARAMETER_ORDER = ("big_g", "f_afmr0", "g_factor", "f_cavity")
 
@@ -65,11 +65,8 @@ class PeakSet:
         return [(c.field, p) for c in self.columns for p in c.positions]
 
     def to_csv(self) -> str:
-        lines = ["field_T,peak_GHz,height"]
-        for col in self.columns:
-            for p, h in zip(col.positions, col.heights):
-                lines.append(f"{col.field!r},{p!r},{h!r}")
-        return "\n".join(lines) + "\n"
+        rows = [(c.field, p, h) for c in self.columns for p, h in zip(c.positions, c.heights)]
+        return write_csv(["field_T,peak_GHz,height"], list(zip(*rows)))
 
 
 def _local_maxima(y: np.ndarray) -> np.ndarray:
@@ -188,6 +185,8 @@ class FitReport:
     converged: bool
     gradient_norm: float
     fixed: dict = dataclass_field(default_factory=dict)
+    message: str = ""  # why the optimizer stopped
+    n_observations: int = 0  # peaks inside the window
 
     def __post_init__(self):
         if any(u < 0 for u in self.uncertainties):
@@ -209,6 +208,8 @@ class FitReport:
             "iterations": self.iterations,
             "converged": self.converged,
             "gradient_norm": self.gradient_norm,
+            "message": self.message,
+            "n_observations": self.n_observations,
         }
 
     def to_json(self) -> str:
@@ -329,6 +330,8 @@ def fit_avoided_crossing(
         converged=result.converged,
         gradient_norm=result.gradient_norm,
         fixed=fixed,
+        message=result.message,
+        n_observations=len(observations),
     )
 
 

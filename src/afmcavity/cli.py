@@ -64,20 +64,14 @@ def cmd_dispersion(args) -> int:
         raise ValueError(f"field must be >= 0, got {float(fields[0])}")
     flop = core.spin_flop_field(cfg.spins)
     lower, upper, clamped = core.zeeman_branches(cfg.spins.f_afmr0, cfg.spins.g_factor, fields)
-    rows = list(zip(fields.tolist(), lower.tolist(), upper.tolist(), clamped.astype(int).tolist()))
+    columns = [fields.tolist(), lower.tolist(), upper.tolist(), clamped.astype(int).tolist()]
     if args.format == "json":
-        payload = {
-            "spin_flop_field_t": flop,
-            "field_t": [r[0] for r in rows],
-            "lower_ghz": [r[1] for r in rows],
-            "upper_ghz": [r[2] for r in rows],
-            "beyond_spin_flop": [r[3] for r in rows],
-        }
+        keys = ("field_t", "lower_ghz", "upper_ghz", "beyond_spin_flop")
+        payload = {"spin_flop_field_t": flop, **dict(zip(keys, columns))}
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     else:
-        lines = [f"# spin_flop_field_T={flop!r}", "field_T,lower_GHz,upper_GHz,beyond_spin_flop"]
-        lines += [f"{b!r},{lo!r},{up!r},{flag}" for b, lo, up, flag in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        header = [f"# spin_flop_field_T={flop!r}", "field_T,lower_GHz,upper_GHz,beyond_spin_flop"]
+        _emit(spectra.write_csv(header, columns), args.out)
     return EXIT_OK
 
 
@@ -180,26 +174,22 @@ def cmd_phase_map(args) -> int:
     cfg = load_config(args.config)
     b_grid = GridSpec(start=args.b_min, stop=args.b_max, step=args.b_step)
     t_grid = GridSpec(start=args.t_min, stop=args.t_max, step=args.t_step)
-    fields = b_grid.samples()
-    temps = t_grid.samples()
+    fields = b_grid.samples().tolist()
+    temps = t_grid.samples().tolist()
     labels = phase.phase_grid(fields, temps, cfg.boundaries)
+    note = "boundary shapes are approximate parametrized curves"
     if args.format == "json":
         payload = {
-            "note": "boundary shapes are approximate parametrized curves",
-            "field_t": [float(b) for b in fields],
-            "temperature_k": [float(t) for t in temps],
+            "note": note,
+            "field_t": fields,
+            "temperature_k": temps,
             "phase": labels,
         }
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     else:
-        lines = [
-            "# boundary shapes are approximate parametrized curves",
-            "field_T,temperature_K,phase",
-        ]
-        for i, b in enumerate(fields):
-            for j, t in enumerate(temps):
-                lines.append(f"{float(b)!r},{float(t)!r},{labels[i][j]}")
-        _emit("\n".join(lines) + "\n", args.out)
+        header = [f"# {note}", "field_T,temperature_K,phase"]
+        cells = [label for row in labels for label in row]
+        _emit(spectra.write_csv(header, [cells], grid=(fields, temps)), args.out)
     return EXIT_OK
 
 
@@ -215,26 +205,19 @@ def _parse_window(text: str | None) -> tuple[float, float] | None:
         raise ConfigError(f"window must be numeric LO:HI, got {text!r}") from None
 
 
-def _read_points(path: Path) -> list[tuple[float, float]]:
+def _read_points(path: Path):
+    """(temperature, value) rows; a first row of two fields, not both numbers, is a header."""
+    lines = path.read_text().splitlines()
+    head = lines[0].split(",") if lines else []
+    skip = 0
     try:
-        text = path.read_text()
-    except FileNotFoundError:
-        raise ConfigError(f"points file not found: {path}") from None
-    points = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"{path}:{lineno}: expected 'temperature,value'")
-        try:
-            points.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            if lineno == 1:
-                continue  # header row
-            raise ConfigError(f"{path}:{lineno}: could not parse {line!r}") from None
-    return points
+        list(map(float, head))
+    except ValueError:
+        skip = int(len(head) == 2)
+    try:
+        return spectra.read_csv(lines[skip:], 2, start=1 + skip)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +256,49 @@ CSV_HEADER = "# field_T,freq_GHz,s21_linear"
 CSV_HEADER_DB = "# field_T,freq_GHz,s21_db"
 
 
+def write_csv(header, columns, grid=()) -> str:
+    """CSV text: the ``header`` lines verbatim, then the columns' comma-joined rows.
+
+    Columns hold Python floats, ints or strings; a float is written as its
+    repr (``str`` of a Python float), so a read-back reproduces it bit for
+    bit.  ``grid=(outer, inner)`` leads each row with its coordinates,
+    outer-major; each axis value is formatted once, not once per row.
+    """
+    keys = []
+    if grid:
+        outer, inner = ([str(v) for v in axis] for axis in grid)
+        keys = [[o for o in outer for _ in inner], inner * len(outer)]
+    rows = map(",".join, zip(*keys, *[map(str, c) for c in columns]))
+    return "\n".join([*header, *rows]) + "\n"
+
+
+def read_csv(lines: list[str], ncols: int, start: int) -> np.ndarray:
+    """Parse rows of ``ncols`` comma-separated floats into an (n, ncols) array.
+
+    ``lines`` are a file's lines from line number ``start`` on; blank and
+    ``#`` lines are skipped.  A malformed row raises ValueError naming its
+    file line.
+    """
+    at = [start]  # file line number of the row loadtxt read last
+
+    def data_lines():
+        for at[0], line in enumerate(lines, start):
+            if line.lstrip()[:1] not in ("", "#"):
+                yield line
+
+    rows = data_lines()
+    first = next(rows, None)
+    if first is None:
+        raise ValueError(f"line {start}: no data rows")
+    if first.count(",") == ncols - 1:  # loadtxt holds every later row to the first
+        try:
+            return np.loadtxt(chain([first], rows), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    bad = lines[at[0] - start]
+    raise ValueError(f"line {at[0]}: expected {ncols} comma-separated numbers, got {bad!r}")
+
+
 def map_to_csv(tmap: TransmissionMap, db: bool = False) -> str:
     """CSV text: one (field, freq, value) triple per line, field-major order.
 
@@ -262,15 +306,12 @@ def map_to_csv(tmap: TransmissionMap, db: bool = False) -> str:
     bit for bit.  ``db=True`` writes 10*log10(values) instead; that format is
     for plotting and is not read back (zero transmission has no dB value).
     """
-    lines = [CSV_HEADER_DB if db else CSV_HEADER]
     values = tmap.values
     if db:
         with np.errstate(divide="ignore"):
             values = 10.0 * np.log10(values)
-    for b, row in zip(tmap.field_axis.tolist(), values.tolist()):
-        for f, v in zip(tmap.freq_axis.tolist(), row):
-            lines.append(f"{b!r},{f!r},{v!r}")
-    return "\n".join(lines) + "\n"
+    grid = (tmap.field_axis.tolist(), tmap.freq_axis.tolist())
+    return write_csv([CSV_HEADER_DB if db else CSV_HEADER], [values.ravel().tolist()], grid)
 
 
 def map_from_csv(text: str) -> TransmissionMap:
@@ -281,35 +322,15 @@ def map_from_csv(text: str) -> TransmissionMap:
     lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         raise ValueError(f"line 1: expected header {CSV_HEADER!r}")
-    triples = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 3 comma-separated values")
-        try:
-            triples.append(tuple(float(p) for p in parts))
-        except ValueError:
-            raise ValueError(f"line {lineno}: could not parse {line!r}") from None
-    if not triples:
-        raise ValueError("line 2: no data rows")
-    data = np.asarray(triples)
-    field_axis = np.unique(data[:, 0])
-    freq_axis = np.unique(data[:, 1])
-    if data.shape[0] != field_axis.size * freq_axis.size:
+    data = read_csv(lines[1:], 3, start=2)
+    field_axis, i = np.unique(data[:, 0], return_inverse=True)
+    freq_axis, j = np.unique(data[:, 1], return_inverse=True)
+    values = np.full((field_axis.size, freq_axis.size), np.nan)
+    values[i, j] = data[:, 2]
+    if data.shape[0] != values.size or np.any(np.isnan(values)):
         raise ValueError(
             f"line {len(lines)}: {data.shape[0]} rows do not form a complete "
-            f"{field_axis.size} x {freq_axis.size} grid"
-        )
-    values = np.full((field_axis.size, freq_axis.size), np.nan)
-    i = np.searchsorted(field_axis, data[:, 0])
-    j = np.searchsorted(freq_axis, data[:, 1])
-    values[i, j] = data[:, 2]
-    if np.any(np.isnan(values)):
-        raise ValueError(
-            f"line {len(lines)}: grid has duplicate or missing (field, freq) samples"
+            f"{field_axis.size} x {freq_axis.size} grid without duplicates"
         )
     return TransmissionMap(field_axis, freq_axis, values)
 
@@ -330,11 +351,15 @@ def save_map(tmap: TransmissionMap, csv_path, db: bool = False) -> Path:
 
 
 def load_map(csv_path) -> TransmissionMap:
-    """Read a CSV map and, if present, its JSON metadata sidecar."""
-    csv_path = Path(csv_path)
-    tmap = map_from_csv(csv_path.read_text())
-    sidecar = sidecar_path(csv_path)
-    metadata = None
-    if sidecar.exists():
-        metadata = json.loads(sidecar.read_text())
+    """Read a CSV map and, if present, its JSON sidecar; errors name the file at fault."""
+    path = Path(csv_path)
+    sidecar = sidecar_path(path)
+    try:
+        tmap = map_from_csv(path.read_text())
+        path = sidecar
+        metadata = json.loads(sidecar.read_text()) if sidecar.exists() else None
+        if not isinstance(metadata, (dict, type(None))):
+            raise ValueError(f"expected a JSON object, got {type(metadata).__name__}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return TransmissionMap(tmap.field_axis, tmap.freq_axis, tmap.values, metadata)

@@ -98,6 +98,25 @@ class TestExtractPeaks:
         first = lines[1].split(",")
         assert float(first[0]) == default_peaks.columns[0].field
 
+    @pytest.mark.parametrize("shape", ["default", (1, 1), (1, 301), (6, 1)], ids=str)
+    def test_csv_bytes_match_per_peak_writer(
+        self, default_peaks, spins, cavity, coupling, loss, shape
+    ):
+        peaks = default_peaks
+        if shape != "default":
+            fields = np.linspace(0.2, 0.9, shape[0])
+            freqs = np.linspace(10.5, 12.0, shape[1]) if shape[1] > 1 else [11.0]
+            tmap = ac.synthesize_map(fields, freqs, spins, cavity, coupling, loss)
+            peaks = ac.extract_peaks(tmap, 0.2)
+
+        # the per-peak writer the shared CSV codec replaced
+        lines = ["field_T,peak_GHz,height"]
+        for col in peaks.columns:
+            for p, h in zip(col.positions, col.heights):
+                lines.append(f"{col.field!r},{p!r},{h!r}")
+
+        assert peaks.to_csv() == "\n".join(lines) + "\n"
+
 
 class TestFitAvoidedCrossing:
     def test_recover_coupling_alone(self, default_peaks, spins, cavity):
@@ -230,8 +249,26 @@ class TestFitAvoidedCrossing:
         assert set(payload) == {
             "parameters", "uncertainties", "fixed", "residual_rms_ghz",
             "window_t", "iterations", "converged", "gradient_norm",
+            "message", "n_observations",
         }
         assert "big_g" in payload["parameters"]
+
+    @pytest.mark.parametrize("window", [None, (0.3, 0.9)])
+    def test_report_carries_stop_reason_and_observation_count(
+        self, default_peaks, spins, cavity, window
+    ):
+        report = ac.fit_avoided_crossing(
+            default_peaks, spins, cavity, free=("big_g",), window=window
+        )
+        lo, hi = report.window
+        in_window = [b for b, _ in default_peaks.observations() if lo <= b <= hi]
+        assert report.converged
+        assert report.message == "gradient below tolerance"
+        assert report.n_observations == len(in_window)
+        assert 0 < report.n_observations <= len(default_peaks.observations())
+        payload = report.to_json_dict()
+        assert payload["message"] == report.message
+        assert payload["n_observations"] == report.n_observations
 
 
 class TestFitJacobian:

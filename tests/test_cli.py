@@ -240,6 +240,23 @@ class TestTrend:
     def test_bad_file_exit_2(self, capsys):
         assert main(["trend", "/nonexistent/points.csv"]) == 2
 
+    @pytest.mark.parametrize("body, lineno", [
+        pytest.param("t,y\n0.5,1.0\n0.6,oops\n", 3, id="bad-value"),
+        pytest.param("t,y\n0.5,1.0\n\n0.6,oops\n", 4, id="bad-value-after-blank"),
+        pytest.param("t,y\n0.5,1.0\n \t \n0.6,oops\n", 4, id="whitespace-line-skipped"),
+        pytest.param("0.5,1.0\n0.6\n", 2, id="one-value-row"),
+        pytest.param("0.5,1.0\n0.6,1.1,\n", 2, id="trailing-comma"),
+        pytest.param("0.5,1.0\n0.6,1_1\n", 2, id="underscore-digits"),
+        pytest.param("a,b,c\n0.5,1.0\n", 1, id="three-field-first-row"),
+        pytest.param("0.5,1.0,2.0\n0.6,1.1,2.1\n", 1, id="three-value-rows"),
+        pytest.param("t,y\n", 2, id="header-only"),
+    ])
+    def test_malformed_points_exit_2(self, tmp_path, capsys, body, lineno):
+        path = tmp_path / "points.csv"
+        path.write_text(body)
+        assert main(["trend", str(path)]) == 2
+        assert f"{path}: line {lineno}:" in capsys.readouterr().err
+
 
 class TestPhaseMap:
     def test_default_grid_has_three_regions(self, capsys):
@@ -277,15 +294,28 @@ class TestExitCodes:
         assert code == 2
         assert "g_facto" in capsys.readouterr().err
 
-    def test_unknown_sidecar_key_exit_2(self, sweep_map, tmp_path, capsys):
+    @pytest.mark.parametrize("sidecar, expected", [
+        pytest.param("bogus-key", "spins.bogus", id="unknown-key"),
+        pytest.param("[1]", "{path}: expected a JSON object, got list", id="list-root"),
+        pytest.param('"x"', "{path}: expected a JSON object, got str", id="string-root"),
+        pytest.param("truncated", "{path}: ", id="truncated"),
+    ])
+    def test_unknown_sidecar_key_exit_2(self, sweep_map, tmp_path, capsys, sidecar, expected):
         csv = tmp_path / "map.csv"
         csv.write_bytes(sweep_map.read_bytes())
-        meta = json.loads(sweep_map.with_suffix(".json").read_text())
-        meta["spins"]["bogus"] = 1.0
-        csv.with_suffix(".json").write_text(json.dumps(meta))
+        text = sweep_map.with_suffix(".json").read_text()
+        if sidecar == "bogus-key":
+            meta = json.loads(text)
+            meta["spins"]["bogus"] = 1.0
+            sidecar = json.dumps(meta)
+        elif sidecar == "truncated":
+            sidecar = text[: len(text) // 2]
+        csv.with_suffix(".json").write_text(sidecar)
         for args in (["fit", str(csv)], ["linewidth", str(csv), "--freq", "11.0"]):
             assert main(args) == 2
-            assert "spins.bogus" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert expected.format(path=csv.with_suffix(".json")) in err
+            assert "Traceback" not in err
 
     def test_unconverged_fit_exit_3(self, sweep_map, monkeypatch, capsys):
         from afmcavity import analysis as analysis_module
@@ -326,3 +356,50 @@ class TestDeterminism:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestCsvBytes:
+    """CLI tables match the per-cell writers the shared CSV codec replaced."""
+
+    @pytest.mark.parametrize("grid", [
+        pytest.param([], id="default"),
+        pytest.param(["--b-min", "0.3", "--b-max", "0.3", "--b-step", "0.1"], id="1"),
+        pytest.param(["--b-min", "1.0", "--b-max", "1.3", "--b-step", "0.01"], id="N"),
+    ])
+    def test_dispersion(self, tmp_path, grid):
+        out = tmp_path / "disp.csv"
+        assert main(["dispersion", *grid, "--out", str(out)]) == 0
+
+        cfg = ac.RunConfig.defaults()
+        start, stop, step = (float(v) for v in grid[1::2]) if grid else (
+            cfg.field_grid.start, cfg.field_grid.stop, cfg.field_grid.step)
+        fields = ac.GridSpec(start=start, stop=stop, step=step).samples()
+        flop = ac.spin_flop_field(cfg.spins)
+        lines = [f"# spin_flop_field_T={flop!r}", "field_T,lower_GHz,upper_GHz,beyond_spin_flop"]
+        for b in fields.tolist():
+            pair = ac.magnon_branches(cfg.spins, b)
+            lines.append(f"{b!r},{pair.lower!r},{pair.upper!r},{int(pair.clamped)}")
+        assert out.read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("grid", [
+        pytest.param((0.0, 3.0, 0.05, 0.0, 3.0, 0.05), id="default"),
+        pytest.param((0.5, 0.5, 1.0, 1.0, 1.0, 1.0), id="1x1"),
+        pytest.param((0.5, 0.5, 1.0, 0.0, 3.0, 0.1), id="1xN"),
+        pytest.param((0.0, 3.0, 0.1, 1.0, 1.0, 1.0), id="Nx1"),
+    ])
+    def test_phase_map(self, tmp_path, grid):
+        out = tmp_path / "phases.csv"
+        flags = ["--b-min", "--b-max", "--b-step", "--t-min", "--t-max", "--t-step"]
+        argv = [item for pair in zip(flags, map(str, grid)) for item in pair]
+        assert main(["phase-map", *argv, "--out", str(out)]) == 0
+
+        fields = ac.GridSpec(start=grid[0], stop=grid[1], step=grid[2]).samples()
+        temps = ac.GridSpec(start=grid[3], stop=grid[4], step=grid[5]).samples()
+        lines = [
+            "# boundary shapes are approximate parametrized curves",
+            "field_T,temperature_K,phase",
+        ]
+        for b in fields:
+            for t in temps:
+                lines.append(f"{float(b)!r},{float(t)!r},{ac.classify_phase(float(b), float(t))}")
+        assert out.read_text() == "\n".join(lines) + "\n"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import afmcavity as ac
 from afmcavity import spectra
@@ -264,10 +266,71 @@ class TestSerialization:
         with pytest.raises(ValueError, match="line 1"):
             ac.map_from_csv("field,freq,val\n0,1,2\n")
 
-    def test_malformed_line_reported(self):
-        text = spectra.CSV_HEADER + "\n0.1,9.0,0.5\n0.1,oops,0.5\n"
-        with pytest.raises(ValueError, match="line 3"):
+    @pytest.mark.parametrize("body, lineno", [
+        pytest.param("0.1,9.0,0.5\n0.1,oops,0.5\n", 3, id="bad-value"),
+        pytest.param("0.1,9.0,0.5\n\n0.1,oops,0.5\n", 4, id="bad-value-after-blank"),
+        pytest.param("0.1,9.0,0.5\n \t \n0.1,oops,0.5\n", 4, id="whitespace-line-skipped"),
+        pytest.param("0.1,9.0,0.5\n# note\n0.1,oops,0.5\n", 4, id="comment-line-skipped"),
+        pytest.param("0.1,9.0,0.5\n0.1,9.1\n", 3, id="two-value-row"),
+        pytest.param("0.1,9.0,0.5\n0.1,9.1,0.5,\n", 3, id="trailing-comma"),
+        pytest.param("0.1,9.0,0.5,\n0.1,9.1,0.5\n", 2, id="first-row-trailing-comma"),
+        pytest.param("0.1,9.0\n0.1,9.1,0.5\n", 2, id="first-row-two-values"),
+        pytest.param("0.1,9.0,0.5,1\n0.1,9.1,0.5,1\n", 2, id="four-value-rows"),
+        pytest.param("0.1,9.0,0.5\n0.1,9.1,1_0\n", 3, id="underscore-digits"),
+        pytest.param("", 2, id="header-only"),
+        pytest.param("\n# note\n", 2, id="no-data-rows"),
+    ])
+    def test_malformed_line_reported(self, body, lineno):
+        text = spectra.CSV_HEADER + "\n" + body
+        with pytest.raises(ValueError, match=rf"^line {lineno}:"):
             ac.map_from_csv(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_property(self, data):
+        def axis(n):
+            finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+            return data.draw(st.lists(finite, min_size=n, max_size=n, unique=True).map(sorted))
+
+        n_fields, n_freqs = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        value = st.one_of(
+            st.sampled_from([0.0, 5e-324, 1e300]),
+            st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False),
+        )
+        cells = data.draw(st.lists(value, min_size=n_fields * n_freqs, max_size=n_fields * n_freqs))
+        tmap = ac.TransmissionMap(
+            axis(n_fields), axis(n_freqs), np.reshape(cells, (n_fields, n_freqs))
+        )
+        back = ac.map_from_csv(ac.map_to_csv(tmap))
+        for name in ("field_axis", "freq_axis", "values"):
+            assert getattr(back, name).tobytes() == getattr(tmap, name).tobytes()
+
+    @pytest.mark.parametrize("db", [False, True], ids=["linear", "db"])
+    @pytest.mark.parametrize("shape", ["default", (1, 1), (1, 6), (6, 1)], ids=str)
+    def test_bytes_match_per_cell_writer(self, default_map, shape, db):
+        if shape == "default":
+            field_axis, freq_axis = default_map.field_axis, default_map.freq_axis
+            values = default_map.values.copy()
+        else:
+            rng = np.random.default_rng(11)
+            field_axis = np.cumsum(rng.uniform(0.01, 0.2, shape[0]))
+            freq_axis = 8.0 + np.cumsum(rng.uniform(0.001, 0.5, shape[1]))
+            values = rng.uniform(0.0, 1.0, shape)
+        values[0, -1] = 0.0  # writes -inf in dB
+        tmap = ac.TransmissionMap(field_axis, freq_axis, values)
+
+        # the per-cell writer the shared codec replaced
+        lines = [spectra.CSV_HEADER_DB if db else spectra.CSV_HEADER]
+        if db:
+            with np.errstate(divide="ignore"):
+                values = 10.0 * np.log10(values)
+        for b, row in zip(field_axis.tolist(), values.tolist()):
+            for f, v in zip(freq_axis.tolist(), row):
+                lines.append(f"{b!r},{f!r},{v!r}")
+        expected = "\n".join(lines) + "\n"
+
+        assert ac.map_to_csv(tmap, db=db) == expected
+        assert ("-inf" in expected) == db
 
     def test_incomplete_grid_rejected(self):
         text = spectra.CSV_HEADER + "\n0.1,9.0,0.5\n0.1,9.1,0.5\n0.2,9.0,0.5\n"
