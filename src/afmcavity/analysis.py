@@ -86,20 +86,21 @@ def _local_maxima(y: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _prominence(y: np.ndarray, i: int) -> float:
-    """Topographic prominence: height above the deeper of the two base saddles."""
-    h = y[i]
-    if h == y.max():
-        return float(h - y.min())
-    bases = []
-    for step in (-1, 1):
-        j = i + step
-        base = h
-        while 0 <= j < y.size and y[j] <= h:
-            base = min(base, y[j])
-            j += step
-        bases.append(base)
-    return float(h - max(bases))
+def _prominences(y: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Prominence of each ``y[idx]``: height above the higher of its two bases, each
+    the lowest sample between it and the nearest strictly higher sample on that side
+    (or the column edge).  A column maximum's is its height above the column minimum."""
+    top, bottom = y.max(), y.min()
+    proms = y[idx] - bottom
+    for n, i in enumerate(idx):
+        h = y[i]
+        if h < top:
+            higher = np.flatnonzero(y > h)
+            cut = np.searchsorted(higher, i)
+            left = higher[cut - 1] + 1 if cut else 0
+            right = higher[cut] if cut < higher.size else y.size
+            proms[n] = h - max(y[left:i].min(initial=h), y[i + 1 : right].min(initial=h))
+    return proms
 
 
 def _parabolic_vertex(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:
@@ -139,16 +140,14 @@ def extract_peaks(tmap: TransmissionMap, min_prominence: float = 0.1) -> PeakSet
     for i, b in enumerate(tmap.field_axis):
         y = tmap.values[i]
         threshold = min_prominence * float(y.max())
-        candidates = []
+        picks = []
         if threshold > 0:
             maxima = _local_maxima(y)
             # prominence never exceeds height, so short maxima can be skipped
-            for j in maxima[y[maxima] >= threshold]:
-                prom = _prominence(y, j)
-                if prom >= threshold:
-                    candidates.append((prom, int(j)))
-        candidates.sort(key=lambda t: (-t[0], t[1]))
-        picks = sorted(j for _, j in candidates[:2])
+            maxima = maxima[y[maxima] >= threshold]
+            proms = _prominences(y, maxima)
+            best = np.argsort(-proms, kind="stable")[:2]  # ties go to the lower index
+            picks = sorted(maxima[best[proms[best] >= threshold]].tolist())
         positions, heights, uncertainties = [], [], []
         for j in picks:
             pos, height = _parabolic_vertex(freqs, y, j)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +272,11 @@ def write_csv(header, columns, grid=()) -> str:
     return "\n".join([*header, *rows]) + "\n"
 
 
+def _data_rows(lines: list[str], start: int):
+    """(file line number, line) of each line that is neither blank nor a ``#`` comment."""
+    return ((n, line) for n, line in enumerate(lines, start) if line.lstrip()[:1] not in ("", "#"))
+
+
 def read_csv(lines: list[str], ncols: int, start: int) -> np.ndarray:
     """Parse rows of ``ncols`` comma-separated floats into an (n, ncols) array.
 
@@ -282,9 +287,8 @@ def read_csv(lines: list[str], ncols: int, start: int) -> np.ndarray:
     at = [start]  # file line number of the row loadtxt read last
 
     def data_lines():
-        for at[0], line in enumerate(lines, start):
-            if line.lstrip()[:1] not in ("", "#"):
-                yield line
+        for at[0], line in _data_rows(lines, start):
+            yield line
 
     rows = data_lines()
     first = next(rows, None)
@@ -323,6 +327,12 @@ def map_from_csv(text: str) -> TransmissionMap:
     if not lines or lines[0].strip() != CSV_HEADER:
         raise ValueError(f"line 1: expected header {CSV_HEADER!r}")
     data = read_csv(lines[1:], 3, start=2)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1) | (data[:, 2] < 0))
+    if bad.size:
+        lineno, line = next(islice(_data_rows(lines[1:], 2), int(bad[0]), None))
+        raise ValueError(
+            f"line {lineno}: expected finite numbers and a transmission >= 0, got {line!r}"
+        )
     field_axis, i = np.unique(data[:, 0], return_inverse=True)
     freq_axis, j = np.unique(data[:, 1], return_inverse=True)
     values = np.full((field_axis.size, freq_axis.size), np.nan)

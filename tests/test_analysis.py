@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import afmcavity as ac
 from afmcavity import analysis, optimize
@@ -116,6 +118,114 @@ class TestExtractPeaks:
                 lines.append(f"{col.field!r},{p!r},{h!r}")
 
         assert peaks.to_csv() == "\n".join(lines) + "\n"
+
+
+def reference_prominence(y, i):
+    """The per-sample walk ``analysis._prominences`` replaced."""
+    h = y[i]
+    if h == y.max():
+        return float(h - y.min())
+    bases = []
+    for step in (-1, 1):
+        j = i + step
+        base = h
+        while 0 <= j < y.size and y[j] <= h:
+            base = min(base, y[j])
+            j += step
+        bases.append(base)
+    return float(h - max(bases))
+
+
+def reference_extract_peaks(tmap, min_prominence):
+    """``extract_peaks`` as it was written around ``reference_prominence``."""
+    freqs = tmap.freq_axis
+    columns = []
+    for b, y in zip(tmap.field_axis, tmap.values):
+        threshold = min_prominence * float(y.max())
+        candidates = []
+        if threshold > 0:
+            maxima = analysis._local_maxima(y)
+            for j in maxima[y[maxima] >= threshold]:
+                prom = reference_prominence(y, j)
+                if prom >= threshold:
+                    candidates.append((prom, int(j)))
+        candidates.sort(key=lambda t: (-t[0], t[1]))
+        picks = sorted(j for _, j in candidates[:2])
+        refined = [analysis._parabolic_vertex(freqs, y, j) for j in picks]
+        columns.append(
+            analysis.ColumnPeaks(
+                field=float(b),
+                positions=tuple(pos for pos, _ in refined),
+                heights=tuple(height for _, height in refined),
+                uncertainties=tuple(
+                    float(0.5 * (freqs[j + 1] - freqs[j - 1]) / 2.0) for j in picks
+                ),
+            )
+        )
+    return analysis.PeakSet(tuple(columns), (float(freqs[0]), float(freqs[-1])))
+
+
+# Small integer levels make ties, plateaus and repeated column maxima common.
+_levels = st.integers(0, 4)
+_columns = st.one_of(
+    st.lists(_levels, min_size=3, max_size=40),
+    st.lists(_levels, min_size=3, max_size=3),
+    st.lists(_levels, min_size=3, max_size=40).map(sorted),
+    st.lists(_levels, min_size=3, max_size=40).map(lambda v: sorted(v, reverse=True)),
+    st.tuples(_levels, st.integers(3, 40)).map(lambda t: [t[0]] * t[1]),
+    st.lists(st.sampled_from([0, 4]), min_size=3, max_size=40),
+)
+
+
+class TestProminences:
+    @settings(max_examples=500, deadline=None)
+    @given(values=_columns, min_prominence=st.sampled_from([0.05, 0.25, 0.5, 0.75]))
+    def test_matches_reference_walk(self, values, min_prominence):
+        y = np.array(values, dtype=float)
+        maxima = analysis._local_maxima(y)
+        expected = [reference_prominence(y, i) for i in maxima]
+        assert analysis._prominences(y, maxima).tolist() == expected
+        # the threshold and the tie-break around it
+        tmap = ac.TransmissionMap([0.1], np.arange(y.size, dtype=float), y[None, :])
+        assert ac.extract_peaks(tmap, min_prominence) == reference_extract_peaks(
+            tmap, min_prominence
+        )
+
+    def test_matches_scipy_off_the_column_maximum(self, default_map, spins, cavity, coupling, loss):
+        signal = pytest.importorskip("scipy.signal")
+        fine = ac.synthesize_map(
+            [0.2, 0.64, 1.0], ac.GridSpec(start=8.0, stop=15.0, step=0.0005).samples(),
+            spins, cavity, coupling, loss,
+        )
+        columns = [
+            *ac.add_noise(default_map, 0.2, 5).values[::10],
+            *ac.add_noise(fine, 0.2, 11).values,
+        ]
+        for y in columns:
+            maxima = analysis._local_maxima(y)
+            at_top = y[maxima] == y.max()
+            assert at_top.sum() == 1
+            proms = analysis._prominences(y, maxima)
+            # scipy walks to the column edges from a column maximum; this package
+            # takes that peak's prominence as its height above the column minimum
+            assert proms[at_top].tolist() == [y.max() - y.min()]
+            scipy_proms, *_ = signal.peak_prominences(y, maxima[~at_top])
+            assert proms[~at_top].tolist() == scipy_proms.tolist()  # 0 ULP
+
+    def test_long_walks_bit_identical(self, spins, cavity, coupling, loss):
+        tmap = ac.add_noise(
+            ac.synthesize_map(
+                np.linspace(0.2, 1.0, 5),
+                ac.GridSpec(start=8.0, stop=15.0, step=0.0005).samples(),
+                spins, cavity, coupling, loss,
+            ),
+            0.2,
+            2024,
+        )
+        peaks = ac.extract_peaks(tmap, 0.2)
+        expected = reference_extract_peaks(tmap, 0.2)
+        assert peaks == expected
+        assert repr(peaks) == repr(expected)  # also tells -0.0 from 0.0
 
 
 class TestFitAvoidedCrossing:

@@ -317,6 +317,19 @@ class TestExitCodes:
             assert expected.format(path=csv.with_suffix(".json")) in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-1.0"])
+    def test_bad_cell_exit_2(self, sweep_map, tmp_path, capsys, cell):
+        lines = sweep_map.read_text().splitlines()
+        field, freq, _ = lines[5].split(",")
+        lines[5] = f"{field},{freq},{cell}"
+        csv = tmp_path / "map.csv"
+        csv.write_text("\n".join(lines) + "\n")
+        for args in (["fit", str(csv)], ["linewidth", str(csv), "--freq", "11.0"]):
+            assert main(args) == 2
+            err = capsys.readouterr().err
+            assert f"{csv}: line 6: expected finite numbers and a transmission >= 0" in err
+            assert "Traceback" not in err
+
     def test_unconverged_fit_exit_3(self, sweep_map, monkeypatch, capsys):
         from afmcavity import analysis as analysis_module
         from afmcavity import cli as cli_module

@@ -279,6 +279,12 @@ class TestSerialization:
         pytest.param("0.1,9.0,0.5\n0.1,9.1,1_0\n", 3, id="underscore-digits"),
         pytest.param("", 2, id="header-only"),
         pytest.param("\n# note\n", 2, id="no-data-rows"),
+        pytest.param("0.1,9.0,nan\n", 2, id="nan-cell"),
+        pytest.param("0.1,9.0,0.5\n0.1,9.1,inf\n", 3, id="inf-cell"),
+        pytest.param("0.1,9.0,0.5\n\n0.1,9.1,-inf\n", 4, id="minus-inf-cell-after-blank"),
+        pytest.param("0.1,9.0,0.5\n# note\n \n0.1,9.1,-1.0\n", 5, id="negative-cell-after-comment"),
+        pytest.param("0.1,9.0,0.5\n0.1,nan,0.5\n", 3, id="nan-frequency"),
+        pytest.param("0.1,9.0,0.5\n0.2,9.0,-1.0\n0.2,9.1,nan\n", 3, id="first-of-two-bad-cells"),
     ])
     def test_malformed_line_reported(self, body, lineno):
         text = spectra.CSV_HEADER + "\n" + body
