@@ -6,8 +6,9 @@ cavity hybridized with one damped magnon mode:
     S21(f, B) = κ_ext / ( i(f − f_c) + κ_tot/2 + G² / (i(f − f_m(B)) + γ_m/2) )
 
 with every linewidth an FWHM in GHz and f_m(B) the lower (descending) magnon
-branch.  Maps carry their own axes and a metadata record of the parameters
-used to synthesize them; they are immutable after construction.
+branch, evaluated in real arithmetic (see ``_evaluate_s21``).  Maps carry
+their own axes and a metadata record of the parameters used to synthesize
+them; they are immutable after construction.
 """
 
 from __future__ import annotations
@@ -90,7 +91,8 @@ class TransmissionMap:
                 f"values shape {values.shape} does not match axes "
                 f"({field_axis.size}, {freq_axis.size})"
             )
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
+        # two reductions, no map-sized mask; min() propagates NaN
+        if not (values.min() >= 0 and values.max() < np.inf):
             raise ValueError("values must be finite and >= 0")
         for arr, name in ((field_axis, "field_axis"), (freq_axis, "freq_axis"), (values, "values")):
             arr.setflags(write=False)
@@ -105,24 +107,42 @@ class TransmissionMap:
         return self.values[field_index]
 
 
-def _evaluate_s21(freqs, f_magnon, cavity, coupling, loss) -> np.ndarray:
-    """Vectorized |S21|² over a frequency array at one magnon frequency."""
+def _evaluate_s21(freqs, f_magnon, cavity, coupling, loss, out=None) -> np.ndarray:
+    """|S21|² over a frequency array at one magnon frequency, in real arithmetic.
+
+    With a = f − f_m, b = γ_m/2 and q = G²/(a² + b²), the magnon adds q·b to
+    the cavity's half linewidth and shifts it by −q·a:
+
+        |S21|² = κ_ext² / ((κ_tot/2 + q·b)² + (f − f_c − q·a)²)
+
+    The result is written into ``out`` when given; two more arrays of the
+    same size are used as scratch.
+    """
     freqs = np.asarray(freqs, dtype=float)
-    kappa_ext = loss.cavity_external_linewidth
-    kappa_tot = loss.cavity_total_linewidth
-    magnon_den = 1j * (freqs - f_magnon) + 0.5 * loss.magnon_linewidth
+    if out is None:
+        out = np.empty(freqs.shape)
     big_g2 = coupling.big_g**2
-    # A lossless magnon driven exactly on resonance shorts the cavity out:
-    # the hybrid denominator diverges and the transmission limit is zero.
-    singular = magnon_den == 0
-    shift = big_g2 / np.where(singular, 1.0, magnon_den)
-    den = 1j * (freqs - cavity.f_cavity) + 0.5 * kappa_tot + shift
-    # a fully lossless cavity on resonance is 0/0; its transmission limit is 0
-    dead = den == 0
-    power = np.abs(kappa_ext / np.where(dead, 1.0, den)) ** 2
-    if big_g2 > 0:
-        power = np.where(singular, 0.0, power)
-    return np.where(dead, 0.0, power)
+    b = 0.5 * loss.magnon_linewidth
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.subtract(freqs, f_magnon)
+        q = np.multiply(a, a)
+        q += b * b
+        if big_g2 > 0:
+            np.divide(big_g2, q, out=q)
+        else:  # uncoupled, even a lossless magnon on resonance leaves the bare cavity
+            q.fill(0.0)
+        a *= q
+        np.subtract(freqs, cavity.f_cavity, out=out)
+        out -= a
+        out *= out
+        q *= b
+        q += 0.5 * loss.cavity_total_linewidth
+        q *= q
+        out += q
+        np.divide(loss.cavity_external_linewidth**2, out, out=out)
+    # ∞·0 and 0/0 arise only at the two zero limits: a lossless magnon on
+    # resonance (q = G²/0) and a zero total denominator.  fmax maps NaN to 0.
+    return np.fmax(out, 0.0, out=out)
 
 
 def s21_power(
@@ -148,7 +168,7 @@ def s21_power(
             f"{core.spin_flop_field(spins):.4f} T; pass allow_beyond_spin_flop=True "
             "to evaluate the (extrapolated) clamped model there"
         )
-    return float(_evaluate_s21(f, branches.lower, cavity, coupling, loss))
+    return float(_evaluate_s21([f], branches.lower, cavity, coupling, loss)[0])
 
 
 def synthesize_map(
@@ -179,7 +199,7 @@ def synthesize_map(
     values = np.empty((field_axis.size, freq_axis.size))
     for i in range(field_axis.size):
         row_coupling = decoupled if clamped[i] else coupling
-        values[i] = _evaluate_s21(freq_axis, f_magnon[i], cavity, row_coupling, loss)
+        _evaluate_s21(freq_axis, f_magnon[i], cavity, row_coupling, loss, out=values[i])
 
     metadata = {
         "spins": core.params_dict(spins),
@@ -201,8 +221,10 @@ def add_noise(tmap: TransmissionMap, sigma_db: float, seed: int) -> Transmission
     if not np.isfinite(sigma_db) or sigma_db < 0:
         raise ValueError(f"sigma_db must be finite and >= 0, got {sigma_db!r}")
     rng = np.random.default_rng(seed)
-    exponents = rng.normal(0.0, sigma_db, size=tmap.values.shape)
-    noisy = tmap.values * 10.0 ** (exponents / 10.0)
+    noisy = rng.normal(0.0, sigma_db, size=tmap.values.shape)
+    noisy /= 10.0
+    np.power(10.0, noisy, out=noisy)
+    noisy *= tmap.values
     metadata = dict(tmap.metadata) if tmap.metadata is not None else {}
     metadata["noise"] = {"sigma_db": float(sigma_db), "seed": int(seed)}
     return TransmissionMap(tmap.field_axis, tmap.freq_axis, noisy, metadata)

@@ -86,6 +86,78 @@ class TestS21Power:
         assert ac.s21_power(f_m, 0.5, spins, cavity, coupling, loss) == 0.0
 
 
+def _reference_s21(freqs, f_magnon, cavity, coupling, loss):
+    """The complex coupled-mode lineshape, kept as the oracle of the real kernel."""
+    freqs = np.asarray(freqs, dtype=float)
+    kappa_ext = loss.cavity_external_linewidth
+    kappa_tot = loss.cavity_total_linewidth
+    magnon_den = 1j * (freqs - f_magnon) + 0.5 * loss.magnon_linewidth
+    big_g2 = coupling.big_g**2
+    singular = magnon_den == 0
+    shift = big_g2 / np.where(singular, 1.0, magnon_den)
+    den = 1j * (freqs - cavity.f_cavity) + 0.5 * kappa_tot + shift
+    dead = den == 0
+    power = np.abs(kappa_ext / np.where(dead, 1.0, den)) ** 2
+    if big_g2 > 0:
+        power = np.where(singular, 0.0, power)
+    return np.where(dead, 0.0, power)
+
+
+class TestKernelOracle:
+    def test_random_cavities_match_complex_form(self):
+        rng = np.random.default_rng(2024)
+        worst = 0.0
+        for _ in range(3000):
+            cavity = ac.CavityParams(
+                f_cavity=rng.uniform(1.0, 40.0),
+                quality_factor=10.0 ** rng.uniform(1.0, 6.0),
+                external_coupling_fraction=rng.uniform(0.05, 0.95),
+            )
+            big_g = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-3.0, 1.0)
+            gamma = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-5.0, 0.0)
+            coupling = ac.CouplingParams(big_g=big_g)
+            loss = ac.LossParams.from_cavity(cavity, magnon_linewidth=gamma)
+            f_c = cavity.f_cavity
+            f_m = f_c + rng.uniform(-3.0, 3.0) * max(big_g, cavity.total_linewidth)
+            span = 4.0 * (big_g + cavity.total_linewidth)
+            freqs = np.concatenate([
+                [f_c, f_m, np.nextafter(f_m, 0.0), np.nextafter(f_m, np.inf)],
+                rng.uniform(f_c - span, f_c + span, 24),
+                f_m + rng.normal(0.0, gamma + 1e-6, 8),
+            ])
+            freqs = freqs[freqs > 0]
+            got = spectra._evaluate_s21(freqs, f_m, cavity, coupling, loss)
+            ref = _reference_s21(freqs, f_m, cavity, coupling, loss)
+            assert np.array_equal(got == 0, ref == 0)
+            nonzero = ref != 0
+            rel = np.abs(got[nonzero] - ref[nonzero]) / ref[nonzero]
+            worst = max(worst, float(rel.max(initial=0.0)))
+        assert worst < 1e-11
+
+    def test_lossless_magnon_on_resonance(self, cavity, coupling):
+        loss = ac.LossParams(0.004, 0.004, magnon_linewidth=0.0)
+        f_m = 10.5
+        assert spectra._evaluate_s21([f_m], f_m, cavity, coupling, loss)[0] == 0.0
+        decoupled = ac.CouplingParams(big_g=0.0)
+        bare = spectra._evaluate_s21([f_m], f_m, cavity, decoupled, loss)[0]
+        detuning = f_m - cavity.f_cavity
+        assert bare > 0
+        assert bare == pytest.approx(0.004**2 / (0.004**2 + detuning**2), rel=1e-14)
+
+    def test_lossless_cavity_on_resonance_is_zero(self, cavity):
+        loss = ac.LossParams(0.0, 0.0, magnon_linewidth=0.035)
+        decoupled = ac.CouplingParams(big_g=0.0)
+        value = spectra._evaluate_s21([cavity.f_cavity], 30.0, cavity, decoupled, loss)[0]
+        assert value == 0.0
+
+    def test_out_row_written_in_place(self, cavity, coupling, loss):
+        freqs = np.linspace(8.0, 15.0, 101)
+        out = np.full(freqs.size, np.nan)
+        result = spectra._evaluate_s21(freqs, 11.0, cavity, coupling, loss, out=out)
+        assert result is out
+        assert np.array_equal(out, spectra._evaluate_s21(freqs, 11.0, cavity, coupling, loss))
+
+
 class TestTransmissionMap:
     def test_validation(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -94,6 +166,20 @@ class TestTransmissionMap:
             ac.TransmissionMap([0.1, 0.2], [1.0, 2.0], np.ones((3, 2)))
         with pytest.raises(ValueError, match="finite"):
             ac.TransmissionMap([0.1], [1.0], [[np.nan]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+    def test_bad_cell_rejected(self, bad):
+        values = np.ones((2, 3))
+        values[1, 2] = bad  # not the first cell
+        with pytest.raises(ValueError, match="values must be finite and >= 0"):
+            ac.TransmissionMap([0.1, 0.2], [1.0, 2.0, 3.0], values)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_signed_zero_accepted(self, zero):
+        values = np.ones((2, 3))
+        values[1, 2] = zero
+        tmap = ac.TransmissionMap([0.1, 0.2], [1.0, 2.0, 3.0], values)
+        assert tmap.values[1, 2] == 0.0
 
     def test_values_immutable(self, default_map):
         with pytest.raises(ValueError):
