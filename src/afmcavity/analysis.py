@@ -353,8 +353,7 @@ def field_linewidth(cut) -> float:
     the failure mode for flat, multi-peaked or under-sampled traces.
     """
     b, p = _cut_arrays(cut)
-    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(p))):
-        raise FitError("cut contains non-finite samples")
+    b, p = core.checked("cut field", b), core.checked("cut power", p)
     base = float(p.min())
     peak = float(p.max())
     if peak - base <= 1e-12 * max(abs(peak), 1.0):
@@ -409,10 +408,8 @@ def field_linewidth(cut) -> float:
 
 def linewidth_field_to_freq(gamma_b: float, g_factor: float) -> float:
     """Convert a field-domain linewidth (tesla) to GHz: gamma_b * g * 13.996245."""
-    if not np.isfinite(gamma_b) or gamma_b < 0:
-        raise ValueError(f"gamma_b must be finite and >= 0, got {gamma_b!r}")
-    if g_factor <= 0:
-        raise ValueError("g_factor must be > 0")
+    gamma_b = core.checked("gamma_b", gamma_b, 0.0)
+    g_factor = core.checked("g_factor", g_factor, 0.0, strict=True)
     return gamma_b * g_factor * GHZ_PER_TESLA_PER_G
 
 
@@ -496,12 +493,11 @@ def fit_t4_trend(
     if data.ndim != 2 or data.shape[1] != 2:
         raise ValueError("points must be (temperature, value) pairs")
     t = data[:, 0] * (1e-3 if temperature_unit == "mK" else 1.0)
-    y = data[:, 1]
     min_points = 3 if exponent_free else 2
     if t.size < min_points:
         raise FitError(f"need at least {min_points} points, got {t.size}")
-    if np.any(t <= 0) or not np.all(np.isfinite(t)) or not np.all(np.isfinite(y)):
-        raise ValueError("temperatures must be finite and > 0, values finite")
+    t = core.checked("temperature", t, 0.0, strict=True)
+    y = core.checked("value", data[:, 1])
     if np.ptp(t) == 0:
         raise FitError("singular design: all temperatures are equal")
     s = 1.0 if sign == "+" else -1.0

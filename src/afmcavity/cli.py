@@ -59,11 +59,10 @@ def cmd_dispersion(args) -> int:
             stop=grid.stop if args.b_max is None else args.b_max,
             step=grid.step if args.b_step is None else args.b_step,
         )
-    fields = grid.samples()
-    if (fields < 0).any():  # samples ascend, so the first is the lowest
-        raise ValueError(f"field must be >= 0, got {float(fields[0])}")
+    fields = core.checked("field", grid.samples(), 0.0)
     flop = core.spin_flop_field(cfg.spins)
     lower, upper, clamped = core.zeeman_branches(cfg.spins.f_afmr0, cfg.spins.g_factor, fields)
+    core.checked("upper branch f_afmr0 + g_factor * 13.996245 GHz/T * field", upper)
     columns = [fields.tolist(), lower.tolist(), upper.tolist(), clamped.astype(int).tolist()]
     if args.format == "json":
         keys = ("field_t", "lower_ghz", "upper_ghz", "beyond_spin_flop")
@@ -90,9 +89,7 @@ def cmd_sweep(args) -> int:
     seed = cfg.seed if args.seed is None else args.seed
     if cfg.noise_sigma_db > 0:
         tmap = spectra.add_noise(tmap, cfg.noise_sigma_db, seed)
-    metadata = dict(tmap.metadata or {})
-    metadata["config"] = cfg.to_dict()
-    tmap = spectra.TransmissionMap(tmap.field_axis, tmap.freq_axis, tmap.values, metadata)
+    tmap = replace(tmap, metadata={**(tmap.metadata or {}), "config": cfg.to_dict()})
     spectra.save_map(tmap, out, db=args.db)
     return EXIT_OK
 

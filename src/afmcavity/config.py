@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CavityParams, CouplingParams, SpinSystemParams, params_dict
+from .core import CavityParams, CouplingParams, SpinSystemParams, checked, params_dict
 from .phase import PhaseBoundaries
 from .spectra import LossParams
 
@@ -31,11 +31,11 @@ class GridSpec:
     step: float
 
     def __post_init__(self):
-        for name in ("start", "stop", "step"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"grid {name} must be finite")
-        if self.step <= 0:
-            raise ConfigError(f"grid step must be > 0, got {self.step}")
+        try:
+            checked("grid step", self.step, 0.0, strict=True)
+            checked("grid (stop - start) / step", (self.stop - self.start) / self.step)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def samples(self) -> np.ndarray:
         """Points start, start+step, ... up to stop (inclusive within rounding)."""
@@ -43,7 +43,9 @@ class GridSpec:
             return np.empty(0)
         n = int(round((self.stop - self.start) / self.step)) + 1
         axis = self.start + self.step * np.arange(n)
-        return axis[axis <= self.stop + 1e-9 * self.step]
+        axis = axis[axis <= self.stop + 1e-9 * self.step]
+        axis.flags.writeable = False  # fresh, so a map adopts it without a copy
+        return axis
 
 
 _SECTION_TYPES = {
@@ -101,9 +103,11 @@ class RunConfig:
         noise = raw.get("noise_sigma_db", 0.0)
         if isinstance(noise, bool) or not isinstance(noise, (int, float)):
             raise ConfigError(f"noise_sigma_db: expected a number, got {noise!r}")
-        if noise < 0:
-            raise ConfigError(f"noise_sigma_db: must be >= 0, got {noise}")
-        return cls(seed=seed, noise_sigma_db=float(noise), **sections)
+        try:
+            noise = checked("value", noise, 0.0)
+        except (ValueError, OverflowError) as exc:  # OverflowError: an int past 1e308
+            raise ConfigError(f"noise_sigma_db: {exc}") from None
+        return cls(seed=seed, noise_sigma_db=noise, **sections)
 
     def to_dict(self) -> dict:
         out = {name: params_dict(getattr(self, name)) for name in _SECTION_TYPES}
@@ -138,9 +142,7 @@ def build_section(name: str, raw):
             raise ConfigError(f"{name}: missing required keys {sorted(missing)}")
     try:
         return section_type(**raw)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past 1e308
         raise ConfigError(f"{name}: {exc}") from None
 
 

@@ -17,11 +17,20 @@ import numpy as np
 from .constants import GHZ_PER_TESLA_PER_G
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+def checked(name: str, value, low: float = -np.inf, strict: bool = False):
+    """``value`` as a float, or a float array, once every entry is finite and >= ``low``.
+
+    ``strict`` demands every entry > ``low``.  Otherwise raises ValueError
+    naming ``name`` and the first bad entry.  Two reductions decide an array
+    (``min()`` propagates NaN), so checking a large map allocates no mask.
+    """
+    arr = np.asarray(value, dtype=float)
+    lo, hi = (arr.min(initial=np.inf), arr.max(initial=-np.inf)) if arr.ndim else (float(arr),) * 2
+    if not (-np.inf < lo and hi < np.inf and (lo > low if strict else lo >= low)):
+        bad = ~np.isfinite(arr) | (arr <= low if strict else arr < low)
+        bound = f" and {'>' if strict else '>='} {low:g}" if low > -np.inf else ""
+        raise ValueError(f"{name} must be finite{bound}, got {float(arr.flat[bad.argmax()])!r}")
+    return arr if arr.ndim else float(arr)
 
 
 @dataclass(frozen=True)
@@ -33,10 +42,10 @@ class SpinSystemParams:
     neel_temperature: float = 2.495  # K
 
     def __post_init__(self):
-        for name in ("g_factor", "f_afmr0", "neel_temperature"):
-            value = _require_finite(name, getattr(self, name))
-            if value <= 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
+        for name, value in vars(self).items():
+            checked(name, value, 0.0, strict=True)
+        flop = spin_flop_field(self)  # > 0 only if the Zeeman slope g * 13.996245 GHz/T is finite
+        checked("spin-flop field f_afmr0 / (g_factor * 13.996245 GHz/T)", flop, 0.0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -48,15 +57,11 @@ class CavityParams:
     external_coupling_fraction: float = 0.5
 
     def __post_init__(self):
-        if _require_finite("f_cavity", self.f_cavity) <= 0:
-            raise ValueError("f_cavity must be > 0")
-        if _require_finite("quality_factor", self.quality_factor) <= 0:
-            raise ValueError("quality_factor must be > 0")
-        frac = _require_finite(
-            "external_coupling_fraction", self.external_coupling_fraction
-        )
-        if not 0.0 < frac < 1.0:
+        checked("f_cavity", self.f_cavity, 0.0, strict=True)
+        checked("quality_factor", self.quality_factor, 0.0, strict=True)
+        if not 0.0 < checked("external_coupling_fraction", self.external_coupling_fraction) < 1.0:
             raise ValueError("external_coupling_fraction must lie in (0, 1)")
+        checked("(f_cavity / quality_factor)²", self.total_linewidth * self.total_linewidth)
 
     @property
     def total_linewidth(self) -> float:
@@ -73,14 +78,12 @@ class CouplingParams:
     g_single: float | None = None  # GHz
 
     def __post_init__(self):
-        if _require_finite("big_g", self.big_g) < 0:
-            raise ValueError("big_g must be >= 0")
+        big_g = checked("big_g", self.big_g, 0.0)
+        checked("big_g²", big_g * big_g)
         if self.n_spins is None and self.g_single is None:
             return
         if self.n_spins is None or self.g_single is None:
             raise ValueError("n_spins and g_single must be given together")
-        if self.n_spins < 0 or self.g_single < 0:
-            raise ValueError("n_spins and g_single must be >= 0")
         expected = collective_coupling(self.n_spins, self.g_single)
         scale = max(abs(self.big_g), abs(expected), 1e-300)
         if abs(self.big_g - expected) > 1e-9 * scale:
@@ -103,8 +106,8 @@ class BranchPair:
     clamped: bool = False
 
     def __post_init__(self):
-        _require_finite("lower", self.lower)
-        _require_finite("upper", self.upper)
+        checked("lower", self.lower)
+        checked("upper", self.upper)
         if self.lower > self.upper:
             raise ValueError(f"lower={self.lower} exceeds upper={self.upper}")
 
@@ -122,9 +125,10 @@ def zeeman_branches(f_afmr0, g_factor, field):
     spin-flop field, where this linear model no longer applies, and the
     boolean mask ``clamped`` marks those entries.
     """
-    zeeman = g_factor * GHZ_PER_TESLA_PER_G * np.asarray(field, dtype=float)
-    lower = f_afmr0 - zeeman
-    return np.maximum(lower, 0.0), f_afmr0 + zeeman, lower < 0.0
+    with np.errstate(over="ignore"):  # far past the spin flop: lower -inf, upper inf
+        zeeman = g_factor * GHZ_PER_TESLA_PER_G * np.asarray(field, dtype=float)
+        lower = f_afmr0 - zeeman
+        return np.maximum(lower, 0.0), f_afmr0 + zeeman, lower < 0.0
 
 
 def dressed_modes(f_c, f_m, big_g):
@@ -145,9 +149,7 @@ def dressed_modes(f_c, f_m, big_g):
 
 def magnon_branches(spins: SpinSystemParams, field: float) -> BranchPair:
     """Zeeman-split resonance pair at one field (see :func:`zeeman_branches`)."""
-    field = _require_finite("field", field)
-    if field < 0:
-        raise ValueError(f"field must be >= 0, got {field}")
+    field = checked("field", field, 0.0)
     lower, upper, clamped = zeeman_branches(spins.f_afmr0, spins.g_factor, field)
     return BranchPair(lower=float(lower), upper=float(upper), clamped=bool(clamped))
 
@@ -161,9 +163,7 @@ def polariton_frequencies(
     cavity: CavityParams, f_magnon: float, coupling: CouplingParams
 ) -> BranchPair:
     """Dressed-state frequencies of the coupled cavity-magnon pair (see :func:`dressed_modes`)."""
-    f_magnon = _require_finite("f_magnon", f_magnon)
-    if f_magnon < 0:
-        raise ValueError(f"f_magnon must be >= 0, got {f_magnon}")
+    f_magnon = checked("f_magnon", f_magnon, 0.0)
     lower, upper, _ = dressed_modes(cavity.f_cavity, f_magnon, coupling.big_g)
     return BranchPair(lower=float(lower), upper=float(upper))
 
@@ -197,9 +197,7 @@ def coupling_regime(
     additionally requires G/f_cavity >= 0.1 and deep-strong >= 1.  Purely
     ratio-based, so invariant under a common rescaling of all frequencies.
     """
-    magnon_linewidth = _require_finite("magnon_linewidth", magnon_linewidth)
-    if magnon_linewidth < 0:
-        raise ValueError("magnon_linewidth must be >= 0")
+    magnon_linewidth = checked("magnon_linewidth", magnon_linewidth, 0.0)
     ratio = coupling.big_g / cavity.f_cavity
     if coupling.big_g <= max(cavity.total_linewidth, magnon_linewidth):
         label = "weak"
@@ -214,6 +212,5 @@ def coupling_regime(
 
 def collective_coupling(n_spins: float, g_single: float) -> float:
     """Ensemble coupling sqrt(N) * g_single (GHz)."""
-    if n_spins < 0 or g_single < 0:
-        raise ValueError("n_spins and g_single must be >= 0")
-    return math.sqrt(n_spins) * g_single
+    root_n = math.sqrt(checked("n_spins", n_spins, 0.0))
+    return checked("sqrt(n_spins) * g_single", root_n * checked("g_single", g_single, 0.0))

@@ -10,7 +10,6 @@ shape parameter can be overridden.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,17 +41,11 @@ class PhaseBoundaries:
     spin_flop_exponent: float = 2.0
 
     def __post_init__(self):
-        for name in (
-            "neel_temperature",
-            "spin_flop_field",
-            "neel_exponent",
-            "critical_field",
-            "saturation_field",
-            "spin_flop_exponent",
-        ):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        for name, value in vars(self).items():
+            core.checked(name, value, 0.0, strict=True)
+        with np.errstate(over="ignore"):  # extreme shapes leave the Neel line no float scale
+            scale = np.float64(self.critical_field) ** self.neel_exponent
+        core.checked("critical_field ** neel_exponent", scale, 0.0, strict=True)
         if not self.spin_flop_field < self.saturation_field:
             raise ValueError(
                 f"spin_flop_field ({self.spin_flop_field}) must be below "
@@ -62,6 +55,8 @@ class PhaseBoundaries:
 
 def neel_temperature_at(b: float, boundaries: PhaseBoundaries) -> float:
     """Ordering temperature at field ``b`` (kelvin, clipped at zero)."""
+    if b >= boundaries.critical_field:  # the power below is >= 1 there, and may overflow
+        return 0.0
     reduced = 1.0 - (b / boundaries.critical_field) ** boundaries.neel_exponent
     return boundaries.neel_temperature * max(0.0, reduced)
 
@@ -74,8 +69,7 @@ def spin_flop_boundary(t: float, boundaries: PhaseBoundaries | None = None) -> f
     """
     if boundaries is None:
         boundaries = PhaseBoundaries()
-    if not math.isfinite(t) or t < 0:
-        raise ValueError(f"temperature must be finite and >= 0, got {t!r}")
+    t = core.checked("temperature", t, 0.0)
     if t >= boundaries.neel_temperature:
         raise ValueError(
             f"temperature {t} K is at or above the zero-field ordering "
@@ -96,8 +90,8 @@ def paramagnetic_boundary(t: float, boundaries: PhaseBoundaries) -> float:
 _LABELS = np.array([ANTIFERROMAGNETIC, SPIN_FLOP, PARAMAGNETIC], dtype=object)
 
 
-def _curve(line, x: np.ndarray, boundaries: PhaseBoundaries) -> np.ndarray:
-    return np.array([line(v, boundaries) for v in x.ravel().tolist()]).reshape(x.shape)
+def _curve(line, x, boundaries: PhaseBoundaries) -> np.ndarray:
+    return np.array([line(v, boundaries) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
 
 
 def _phase_labels(b: np.ndarray, t: np.ndarray, boundaries: PhaseBoundaries | None):
@@ -118,14 +112,6 @@ def _phase_labels(b: np.ndarray, t: np.ndarray, boundaries: PhaseBoundaries | No
     return _LABELS[np.where(paramagnetic, 2, np.where(antiferro, 0, 1))]
 
 
-def _validated(name: str, values) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    bad = values[~(np.isfinite(values) & (values >= 0))]
-    if bad.size:
-        raise ValueError(f"{name} must be finite and >= 0, got {float(bad[0])!r}")
-    return values
-
-
 def classify_phase(
     b: float, t: float, boundaries: PhaseBoundaries | None = None
 ) -> str:
@@ -134,11 +120,12 @@ def classify_phase(
     Points exactly on a boundary go to the higher-symmetry side
     (paramagnetic over spin-flop over antiferromagnetic).
     """
-    return _phase_labels(_validated("field", b), _validated("temperature", t), boundaries)
+    b, t = core.checked("field", b, 0.0), core.checked("temperature", t, 0.0)
+    return _phase_labels(b, t, boundaries)
 
 
 def phase_grid(field_axis, temperature_axis, boundaries: PhaseBoundaries | None = None):
     """Classify every point of a rectangular raster; rows follow the field axis."""
-    b = _validated("field", field_axis)[:, None]
-    t = _validated("temperature", temperature_axis)[None, :]
+    b = core.checked("field", field_axis, 0.0)[:, None]
+    t = core.checked("temperature", temperature_axis, 0.0)[None, :]
     return _phase_labels(b, t, boundaries).tolist()

@@ -33,14 +33,10 @@ class LossParams:
     magnon_linewidth: float = 0.035
 
     def __post_init__(self):
-        for name in (
-            "cavity_internal_linewidth",
-            "cavity_external_linewidth",
-            "magnon_linewidth",
-        ):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        for name, value in vars(self).items():
+            core.checked(name, value, 0.0)
+        total = self.cavity_total_linewidth  # bounds the external linewidth² too
+        core.checked("cavity_total_linewidth²", total * total)
 
     @classmethod
     def from_cavity(
@@ -74,16 +70,13 @@ class TransmissionMap:
     metadata: dict | None = field(default=None)
 
     def __post_init__(self):
-        field_axis = np.asarray(self.field_axis, dtype=float)
-        freq_axis = np.asarray(self.freq_axis, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        field_axis, freq_axis, values = map(_frozen, (self.field_axis, self.freq_axis, self.values))
         if field_axis.ndim != 1 or freq_axis.ndim != 1:
             raise ValueError("axes must be one-dimensional")
         if field_axis.size == 0 or freq_axis.size == 0:
             raise ValueError("axes must be non-empty")
         for name, axis in (("field_axis", field_axis), ("freq_axis", freq_axis)):
-            if not np.all(np.isfinite(axis)):
-                raise ValueError(f"{name} must be finite")
+            core.checked(name, axis)
             if axis.size > 1 and not np.all(np.diff(axis) > 0):
                 raise ValueError(f"{name} must be strictly increasing")
         if values.shape != (field_axis.size, freq_axis.size):
@@ -91,11 +84,8 @@ class TransmissionMap:
                 f"values shape {values.shape} does not match axes "
                 f"({field_axis.size}, {freq_axis.size})"
             )
-        # two reductions, no map-sized mask; min() propagates NaN
-        if not (values.min() >= 0 and values.max() < np.inf):
-            raise ValueError("values must be finite and >= 0")
-        for arr, name in ((field_axis, "field_axis"), (freq_axis, "freq_axis"), (values, "values")):
-            arr.setflags(write=False)
+        core.checked("values", values, 0.0)
+        for name, arr in (("field_axis", field_axis), ("freq_axis", freq_axis), ("values", values)):
             object.__setattr__(self, name, arr)
 
     @property
@@ -105,6 +95,15 @@ class TransmissionMap:
     def spectrum_at(self, field_index: int) -> np.ndarray:
         """Transmission vs frequency at one field point (a column of the map)."""
         return self.values[field_index]
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float array: ``values`` itself if already read-only, else a frozen copy."""
+    arr = np.asarray(values, dtype=float)
+    if arr.flags.writeable:
+        arr = arr.copy()  # leaves the caller's array writable and the copy unshared
+        arr.flags.writeable = False
+    return arr
 
 
 def _evaluate_s21(freqs, f_magnon, cavity, coupling, loss, out=None) -> np.ndarray:
@@ -123,7 +122,7 @@ def _evaluate_s21(freqs, f_magnon, cavity, coupling, loss, out=None) -> np.ndarr
         out = np.empty(freqs.shape)
     big_g2 = coupling.big_g**2
     b = 0.5 * loss.magnon_linewidth
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         a = np.subtract(freqs, f_magnon)
         q = np.multiply(a, a)
         q += b * b
@@ -142,6 +141,7 @@ def _evaluate_s21(freqs, f_magnon, cavity, coupling, loss, out=None) -> np.ndarr
         np.divide(loss.cavity_external_linewidth**2, out, out=out)
     # ∞·0 and 0/0 arise only at the two zero limits: a lossless magnon on
     # resonance (q = G²/0) and a zero total denominator.  fmax maps NaN to 0.
+    # An overflow to inf drives q to 0 (a magnon detuned out of reach) or |S21|² to 0.
     return np.fmax(out, 0.0, out=out)
 
 
@@ -159,8 +159,7 @@ def s21_power(
     Fields past the spin-flop transition are extrapolation (the magnon branch
     is clamped at zero there) and are rejected unless explicitly allowed.
     """
-    if not np.isfinite(f) or f <= 0:
-        raise ValueError(f"f must be finite and > 0, got {f!r}")
+    f = core.checked("f", f, 0.0, strict=True)
     branches = core.magnon_branches(spins, field)
     if branches.clamped and not allow_beyond_spin_flop:
         raise ValueError(
@@ -185,14 +184,8 @@ def synthesize_map(
     response instead of an invalid magnon model; those field values are
     listed in the metadata.
     """
-    field_axis = np.asarray(field_axis, dtype=float)
-    freq_axis = np.asarray(freq_axis, dtype=float)
-    if field_axis.size == 0 or freq_axis.size == 0:
-        raise ValueError("axes must be non-empty")
-    if np.any(field_axis < 0):
-        raise ValueError("fields must be >= 0")
-    if np.any(freq_axis <= 0):
-        raise ValueError("frequencies must be > 0")
+    field_axis = core.checked("field", field_axis, 0.0)
+    freq_axis = core.checked("frequency", freq_axis, 0.0, strict=True)
 
     f_magnon, _, clamped = core.zeeman_branches(spins.f_afmr0, spins.g_factor, field_axis)
     decoupled = CouplingParams(big_g=0.0)
@@ -200,6 +193,7 @@ def synthesize_map(
     for i in range(field_axis.size):
         row_coupling = decoupled if clamped[i] else coupling
         _evaluate_s21(freq_axis, f_magnon[i], cavity, row_coupling, loss, out=values[i])
+    values.flags.writeable = False  # handed over without a copy
 
     metadata = {
         "spins": core.params_dict(spins),
@@ -218,15 +212,15 @@ def add_noise(tmap: TransmissionMap, sigma_db: float, seed: int) -> Transmission
     dB-domain noise matches how a network analyzer measures and keeps the
     Lorentzian tails undistorted.  Deterministic for a fixed seed.
     """
-    if not np.isfinite(sigma_db) or sigma_db < 0:
-        raise ValueError(f"sigma_db must be finite and >= 0, got {sigma_db!r}")
+    sigma_db = core.checked("sigma_db", sigma_db, 0.0)
     rng = np.random.default_rng(seed)
     noisy = rng.normal(0.0, sigma_db, size=tmap.values.shape)
     noisy /= 10.0
-    np.power(10.0, noisy, out=noisy)
-    noisy *= tmap.values
-    metadata = dict(tmap.metadata) if tmap.metadata is not None else {}
-    metadata["noise"] = {"sigma_db": float(sigma_db), "seed": int(seed)}
+    with np.errstate(over="ignore", invalid="ignore"):  # a factor past 1e308 fails the map check
+        np.power(10.0, noisy, out=noisy)
+        noisy *= tmap.values
+    noisy.flags.writeable = False  # handed over without a copy
+    metadata = {**(tmap.metadata or {}), "noise": {"sigma_db": sigma_db, "seed": int(seed)}}
     return TransmissionMap(tmap.field_axis, tmap.freq_axis, noisy, metadata)
 
 
@@ -239,12 +233,8 @@ class VerticalCut:
     powers: np.ndarray
 
     def __post_init__(self):
-        fields = np.asarray(self.fields, dtype=float)
-        powers = np.asarray(self.powers, dtype=float)
-        fields.setflags(write=False)
-        powers.setflags(write=False)
-        object.__setattr__(self, "fields", fields)
-        object.__setattr__(self, "powers", powers)
+        object.__setattr__(self, "fields", _frozen(self.fields))
+        object.__setattr__(self, "powers", _frozen(self.powers))
 
     def __iter__(self):
         return iter(zip(self.fields.tolist(), self.powers.tolist()))
@@ -267,8 +257,8 @@ def vertical_cut(tmap: TransmissionMap, f: float) -> VerticalCut:
     j = int(np.argmin(np.abs(tmap.freq_axis - f)))
     return VerticalCut(
         frequency=float(tmap.freq_axis[j]),
-        fields=tmap.field_axis.copy(),
-        powers=tmap.values[:, j].copy(),
+        fields=tmap.field_axis,
+        powers=tmap.values[:, j],
     )
 
 
@@ -359,6 +349,7 @@ def map_from_csv(text: str) -> TransmissionMap:
     freq_axis, j = np.unique(data[:, 1], return_inverse=True)
     values = np.full((field_axis.size, freq_axis.size), np.nan)
     values[i, j] = data[:, 2]
+    values.flags.writeable = False  # handed over without a copy
     if data.shape[0] != values.size or np.any(np.isnan(values)):
         raise ValueError(
             f"line {len(lines)}: {data.shape[0]} rows do not form a complete "

@@ -524,8 +524,10 @@ class TestLinewidthConversion:
             assert lhs == pytest.approx(rhs, rel=1e-14)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ac.linewidth_field_to_freq(-1e-3, 2.0)
+        nan = float("nan")
+        for gamma_b, g_factor in ((-1e-3, 2.0), (1e-3, nan), (nan, 2.0), (1e-3, 0.0)):
+            with pytest.raises(ValueError):
+                ac.linewidth_field_to_freq(gamma_b, g_factor)
 
     def test_cavity_admixture_correction(self, spins, cavity, coupling, loss):
         tmap = ac.synthesize_map(
@@ -599,6 +601,8 @@ class TestTrendFit:
             ac.fit_t4_trend([(0.5, 1.0), (0.7, 2.0)], sign="+", exponent_free=True)
         with pytest.raises(ValueError, match="> 0"):
             ac.fit_t4_trend([(0.0, 1.0), (0.5, 2.0)], sign="+")
+        with pytest.raises(ValueError, match="value must be finite"):
+            ac.fit_t4_trend([(0.3, 1.0), (0.5, float("nan"))], sign="+")
         with pytest.raises(ValueError, match="sign"):
             ac.fit_t4_trend([(0.5, 1.0), (0.7, 2.0)], sign="*")
 

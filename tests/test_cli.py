@@ -1,11 +1,22 @@
 """Integration tests for the command-line surface and its exit codes."""
 
+import contextlib
+import io
 import json
+import math
+import re
+import tempfile
+import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import afmcavity as ac
+from afmcavity import config
 from afmcavity.cli import main
 
 
@@ -317,6 +328,38 @@ class TestExitCodes:
             assert expected.format(path=csv.with_suffix(".json")) in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, raw, expected", [
+        pytest.param(["sweep"], {"cavity": {"quality_factor": 1e-300}},
+                     "cavity: (f_cavity / quality_factor)²", id="cavity-linewidth"),
+        pytest.param(["sweep"], {"coupling": {"big_g": 1e200}}, "coupling: big_g²", id="big-g"),
+        pytest.param(["sweep"], {"loss": {"cavity_internal_linewidth": 1e200,
+                                          "cavity_external_linewidth": 1e200}},
+                     "loss: cavity_total_linewidth²", id="loss-linewidths"),
+        pytest.param(["dispersion"], {"spins": {"g_factor": 1e308}},
+                     "spins: spin-flop field f_afmr0 / (g_factor", id="zeeman-slope"),
+        pytest.param(["dispersion"], {"spins": {"g_factor": 1e300},
+                                      "field_grid": {"start": 0.0, "stop": 1e10, "step": 1e9}},
+                     "upper branch", id="upper-branch"),
+        pytest.param(["phase-map"], {"boundaries": {"neel_exponent": 1e300}},
+                     "boundaries: critical_field ** neel_exponent", id="neel-exponent"),
+        pytest.param(["phase-map"], {"boundaries": {"critical_field": 1e-300}},
+                     "boundaries: critical_field ** neel_exponent", id="critical-field"),
+        pytest.param(["phase-map", "--b-step", "1e-320"], {}, "grid (stop - start) / step",
+                     id="b-step"),
+        pytest.param(["dispersion"], {"field_grid": {"start": 0.0, "stop": 1e9, "step": 1e-300}},
+                     "field_grid: grid (stop - start) / step", id="field-step"),
+        pytest.param(["sweep"], {"noise_sigma_db": 1e4,
+                                 "field_grid": {"start": 0.0, "stop": 0.1, "step": 0.05},
+                                 "freq_grid": {"start": 8.0, "stop": 9.0, "step": 0.5}},
+                     "values must be finite and >= 0, got inf", id="noise-factor"),
+    ])
+    def test_overflowing_derived_quantity_exit_2(self, tmp_path, capsys, argv, raw, expected):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(raw))
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {expected}") and err.count("\n") == 1
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-1.0"])
     def test_bad_cell_exit_2(self, sweep_map, tmp_path, capsys, cell):
         lines = sweep_map.read_text().splitlines()
@@ -416,3 +459,82 @@ class TestCsvBytes:
             for t in temps:
                 lines.append(f"{float(b)!r},{float(t)!r},{ac.classify_phase(float(b), float(t))}")
         assert out.read_text() == "\n".join(lines) + "\n"
+
+
+# --- fuzz gate ----------------------------------------------------------------
+
+
+def _mostly(valid, invalid):
+    """Draw from ``valid`` about four times in five, else from ``invalid``."""
+    return st.integers(0, 4).flatmap(lambda k: valid if k else invalid)
+
+
+# Magnitudes from 1e-300 to 1e300 of either sign, values near the defaults so
+# that some configs run to the end, and the specials Python's json accepts.
+POSITIVE = st.builds(
+    lambda mantissa, exponent: mantissa * 10.0**exponent,
+    st.floats(1.0, 9.99), st.integers(-300, 299),
+)
+NUMBERS = st.sampled_from([
+    POSITIVE, POSITIVE, POSITIVE.map(lambda x: -x), st.floats(0.001, 100.0),
+    st.sampled_from([0.0, math.nan, math.inf, -math.inf]),
+]).flatmap(lambda numbers: numbers)
+JUNK = st.one_of(st.text(max_size=3), st.lists(st.integers(), max_size=2), st.booleans(), st.none())
+VALUES = _mostly(NUMBERS, JUNK)
+UNKNOWN_KEY = st.fixed_dictionaries({"bogus": VALUES})
+
+
+def _section(keys):
+    return _mostly(
+        st.fixed_dictionaries({}, optional={key: VALUES for key in keys}),
+        st.one_of(JUNK, UNKNOWN_KEY),
+    )
+
+
+# A finite start and step give about 60 samples per axis, so a swept map stays
+# within a few thousand cells; the sweep grids are always given, since the
+# default grids hold 309 621 cells.
+GRIDS = _mostly(
+    st.builds(
+        lambda start, step, count: {"start": start, "stop": start + step * count, "step": step},
+        NUMBERS, NUMBERS, st.integers(-2, 60),
+    ),
+    st.one_of(_section(["start", "stop"]), UNKNOWN_KEY),
+)
+CONFIGS = _mostly(
+    st.fixed_dictionaries({"field_grid": GRIDS, "freq_grid": GRIDS}, optional={
+        **{
+            name: _section([f.name for f in fields(kind)])
+            for name, kind in config._SECTION_TYPES.items()
+            if kind is not ac.GridSpec
+        },
+        "temperature_grid": GRIDS,
+        "seed": _mostly(st.integers(0, 2**64), VALUES),
+        "noise_sigma_db": VALUES,
+    }),
+    st.one_of(JUNK, UNKNOWN_KEY),
+)
+NON_FINITE = re.compile(r"(?i)\b(nan|inf|infinity)\b")
+
+
+class TestFuzz:
+    @given(command=st.sampled_from(["dispersion", "sweep", "phase-map"]), raw=CONFIGS)
+    @settings(max_examples=200, deadline=None)
+    def test_random_config_exits_0_or_2(self, command, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "run.json", Path(tmp) / "out.csv"
+            cfg.write_text(json.dumps(raw))
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("error")
+                code = main([command, "--config", str(cfg), "--out", str(out)])
+            err = stderr.getvalue()
+            assert code in (0, 2), err
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+                return
+            assert err == ""
+            outputs = [out, out.with_suffix(".json")] if command == "sweep" else [out]
+            for path in outputs:
+                assert not NON_FINITE.search(path.read_text()), path.read_text()[:300]

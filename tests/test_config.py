@@ -22,6 +22,9 @@ class TestGridSpec:
     def test_bad_step(self):
         with pytest.raises(ConfigError):
             GridSpec(start=0.0, stop=1.0, step=0.0)
+        for start, stop, step in ((0.0, 1.0, 1e-320), (float("nan"), 1.0, 0.1), (-1e308, 1e308, 1)):
+            with pytest.raises(ConfigError, match=r"grid \(stop - start\) / step must be finite"):
+                GridSpec(start=start, stop=stop, step=step)
 
 
 class TestRunConfig:
@@ -44,6 +47,9 @@ class TestRunConfig:
     def test_invalid_value_reports_section(self):
         with pytest.raises(ConfigError, match="spins"):
             RunConfig.from_dict({"spins": {"g_factor": -2.0}})
+        for noise in (float("nan"), float("inf"), -0.1):
+            with pytest.raises(ConfigError, match="noise_sigma_db: value must be finite and >= 0"):
+                RunConfig.from_dict({"noise_sigma_db": noise})
 
     def test_non_numeric_rejected(self):
         with pytest.raises(ConfigError, match="cavity.f_cavity"):
@@ -52,6 +58,11 @@ class TestRunConfig:
             RunConfig.from_dict({"seed": 1.5})
         with pytest.raises(ConfigError, match="seed"):
             RunConfig.from_dict({"seed": True})
+        # integers past the float range
+        with pytest.raises(ConfigError, match="spins: int too large"):
+            RunConfig.from_dict({"spins": {"g_factor": 10**400}})
+        with pytest.raises(ConfigError, match="noise_sigma_db: int too large"):
+            RunConfig.from_dict({"noise_sigma_db": 10**400})
 
     def test_loss_derived_from_cavity_when_omitted(self):
         cfg = RunConfig.from_dict({"cavity": {"quality_factor": 650.0}})

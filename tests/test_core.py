@@ -36,6 +36,8 @@ class TestParams:
         {"f_afmr0": -1.0},
         {"neel_temperature": 0.0},
         {"f_afmr0": float("nan")},
+        {"g_factor": 1e308},  # the Zeeman slope overflows, so the spin-flop field reads 0
+        {"f_afmr0": 1e300, "g_factor": 1e-300},  # the spin-flop field overflows
     ])
     def test_spin_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -60,6 +62,9 @@ class TestParams:
             {"big_g": 1.0, "n_spins": -5.0},
             {"big_g": 1.0, "n_spins": 4.0},
             {"big_g": 1.0, "g_single": 0.5},
+            {"big_g": 1.0, "n_spins": float("nan"), "g_single": 1.0},
+            {"big_g": 1.0, "n_spins": 1e300, "g_single": 1e300},  # sqrt(N) * g overflows
+            {"big_g": 1e200},  # G² overflows
         ):
             with pytest.raises(ValueError):
                 ac.CouplingParams(**kwargs)
@@ -316,5 +321,7 @@ class TestCollectiveCoupling:
         assert ac.collective_coupling(1.0e18, 1.72e-9) == pytest.approx(1.72, rel=1e-12)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ac.collective_coupling(-1, 0.1)
+        nan = float("nan")
+        for n_spins, g_single in ((-1, 0.1), (nan, 1.0), (1.0, nan), (1e300, 1e300)):
+            with pytest.raises(ValueError):
+                ac.collective_coupling(n_spins, g_single)

@@ -24,6 +24,15 @@ class TestBoundaries:
             ac.PhaseBoundaries(neel_temperature=-1.0)
         with pytest.raises(ValueError, match="saturation"):
             ac.PhaseBoundaries(spin_flop_field=2.0, saturation_field=1.5)
+        # critical_field ** neel_exponent overflows or underflows
+        for kwargs in ({"neel_exponent": 1e300}, {"critical_field": 1e-300}):
+            with pytest.raises(ValueError, match="critical_field \\*\\* neel_exponent"):
+                ac.PhaseBoundaries(**kwargs)
+
+    def test_neel_line_zero_past_critical_field(self, bounds):
+        # (b / critical_field) ** neel_exponent would overflow a Python float here
+        for b in (bounds.critical_field, 3.0, 1e300):
+            assert phase.neel_temperature_at(b, bounds) == 0.0
 
 
 class TestClassify:

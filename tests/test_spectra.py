@@ -185,6 +185,22 @@ class TestTransmissionMap:
         with pytest.raises(ValueError):
             default_map.values[0, 0] = 1.0
 
+    def test_caller_arrays_stay_writable(self, default_map):
+        fields, freqs, values = np.array([0.1, 0.2]), np.array([1.0, 2.0]), np.ones((2, 2))
+        tmap = ac.TransmissionMap(fields, freqs, values)
+        cut = ac.VerticalCut(1.0, fields, values[:, 0])
+        fields[0], values[0, 0] = 0.05, 2.0
+        assert tmap.field_axis[0] == 0.1 and tmap.values[0, 0] == 1.0
+        assert cut.fields[0] == 0.1 and cut.powers[0] == 1.0
+        assert not (tmap.values.flags.writeable or cut.powers.flags.writeable)
+        # read-only arrays, such as a map's own or grid samples, are adopted without a copy
+        again = ac.TransmissionMap(
+            default_map.field_axis, default_map.freq_axis, default_map.values
+        )
+        assert again.values is default_map.values
+        axis = ac.GridSpec(start=8.0, stop=9.0, step=0.5).samples()
+        assert ac.TransmissionMap([0.1], axis, np.ones((1, 3))).freq_axis is axis
+
 
 class TestSynthesizeMap:
     def test_single_cell(self, spins, cavity, coupling, loss):
