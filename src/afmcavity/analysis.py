@@ -8,15 +8,14 @@ has one.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 
 from . import core, optimize
 from .constants import GHZ_PER_TESLA_PER_G
 from .core import CavityParams, CouplingParams, SpinSystemParams
-from .spectra import TransmissionMap, VerticalCut, write_csv
+from .spectra import TransmissionMap, VerticalCut, write_csv, write_json
 
 PARAMETER_ORDER = ("big_g", "f_afmr0", "g_factor", "f_cavity")
 
@@ -212,7 +211,7 @@ class FitReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return write_json(self.to_json_dict())
 
 
 def _make_objective(b_arr: np.ndarray, p_arr: np.ndarray, baseline: dict, names):
@@ -271,7 +270,6 @@ def fit_avoided_crossing(
     free,
     window: tuple[float, float] | None = None,
     coupling: CouplingParams | None = None,
-    max_iterations: int = optimize.MAX_ITERATIONS,
 ) -> FitReport:
     """Fit dressed-branch eigenfrequencies to extracted peaks.
 
@@ -314,9 +312,7 @@ def fit_avoided_crossing(
     p_arr = np.array([p for _, p in observations])
     residual, jacobian = _make_objective(b_arr, p_arr, baseline, names)
     x0 = np.array([baseline[name] for name in names])
-    result = optimize.levenberg_marquardt(
-        residual, x0, jac=jacobian, max_iterations=max_iterations
-    )
+    result = optimize.levenberg_marquardt(residual, x0, jac=jacobian)
     uncertainties = optimize.covariance_uncertainties(result.jacobian, result.residual)
     fixed = {name: baseline[name] for name in PARAMETER_ORDER if name not in names}
     return FitReport(
@@ -459,17 +455,10 @@ class TrendFit:
         return self.offset + s * self.coefficient * np.asarray(t_kelvin, float) ** self.exponent
 
     def to_json_dict(self) -> dict:
-        return {
-            "offset": self.offset,
-            "coefficient": self.coefficient,
-            "exponent": self.exponent,
-            "sign": self.sign,
-            "residual_rms": self.residual_rms,
-            "exponent_free": self.exponent_free,
-        }
+        return asdict(self)  # the field names are the file's keys
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return write_json(self.to_json_dict())
 
 
 def fit_t4_trend(
@@ -502,7 +491,9 @@ def fit_t4_trend(
         raise FitError("singular design: all temperatures are equal")
     s = 1.0 if sign == "+" else -1.0
 
-    design = np.column_stack([np.ones_like(t), s * t**4])
+    with np.errstate(over="ignore"):  # an overflow fails the check
+        t4 = core.checked("temperature⁴", t**4)
+    design = np.column_stack([np.ones_like(t), s * t4])
     (offset, coefficient), *_ = np.linalg.lstsq(design, y, rcond=None)
     exponent = 4.0
 

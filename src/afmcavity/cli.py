@@ -7,7 +7,6 @@ Every command is deterministic for a fixed config and seed.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,14 +20,13 @@ EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="JSON run configuration")
+def _io_flags(parser: argparse.ArgumentParser, config: bool = True, table: bool = False) -> None:
+    """``--out``, plus ``--config`` where a run config is read and ``--format`` for tables."""
+    if config:
+        parser.add_argument("--config", metavar="PATH", help="JSON run configuration")
     parser.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
-    parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument(
-        "--format", choices=("csv", "json"), default="csv",
-        help="tabular output format (commands with JSON reports ignore this)",
-    )
+    if table:
+        parser.add_argument("--format", choices=("csv", "json"), default="csv", help="table format")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -52,13 +50,8 @@ def _map_params(tmap: spectra.TransmissionMap, cfg: RunConfig):
 
 def cmd_dispersion(args) -> int:
     cfg = load_config(args.config)
-    grid = cfg.field_grid
-    if args.b_min is not None or args.b_max is not None or args.b_step is not None:
-        grid = GridSpec(
-            start=grid.start if args.b_min is None else args.b_min,
-            stop=grid.stop if args.b_max is None else args.b_max,
-            step=grid.step if args.b_step is None else args.b_step,
-        )
+    given = {"start": args.b_min, "stop": args.b_max, "step": args.b_step}
+    grid = replace(cfg.field_grid, **{k: v for k, v in given.items() if v is not None})
     fields = core.checked("field", grid.samples(), 0.0)
     flop = core.spin_flop_field(cfg.spins)
     lower, upper, clamped = core.zeeman_branches(cfg.spins.f_afmr0, cfg.spins.g_factor, fields)
@@ -67,7 +60,7 @@ def cmd_dispersion(args) -> int:
     if args.format == "json":
         keys = ("field_t", "lower_ghz", "upper_ghz", "beyond_spin_flop")
         payload = {"spin_flop_field_t": flop, **dict(zip(keys, columns))}
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(spectra.write_json(payload), args.out)
     else:
         header = [f"# spin_flop_field_T={flop!r}", "field_T,lower_GHz,upper_GHz,beyond_spin_flop"]
         _emit(spectra.write_csv(header, columns), args.out)
@@ -117,7 +110,7 @@ def cmd_fit(args) -> int:
         loss.magnon_linewidth,
     )
     payload["regime"] = {"label": regime.label, "ratio": regime.ratio}
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(spectra.write_json(payload), args.out)
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
@@ -151,7 +144,7 @@ def cmd_linewidth(args) -> int:
         except ValueError:
             corrected = None
         payload["magnon_corrected_ghz"] = corrected
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(spectra.write_json(payload), args.out)
     return EXIT_OK
 
 
@@ -182,7 +175,7 @@ def cmd_phase_map(args) -> int:
             "temperature_k": temps,
             "phase": labels,
         }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(spectra.write_json(payload), args.out)
     else:
         header = [f"# {note}", "field_T,temperature_K,phase"]
         cells = [label for row in labels for label in row]
@@ -225,19 +218,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dispersion", help="resonance branches vs field (CSV)")
-    _common_flags(p)
+    _io_flags(p, table=True)
     p.add_argument("--b-min", type=float, help="field start (T)")
     p.add_argument("--b-max", type=float, help="field stop (T)")
     p.add_argument("--b-step", type=float, help="field step (T)")
     p.set_defaults(run=cmd_dispersion)
 
     p = sub.add_parser("sweep", help="synthesize a transmission map (CSV + JSON sidecar)")
-    _common_flags(p)
+    _io_flags(p)
+    p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--db", action="store_true", help="write values in dB (export only)")
     p.set_defaults(run=cmd_sweep)
 
     p = sub.add_parser("fit", help="fit dressed branches to a transmission map")
-    _common_flags(p)
+    _io_flags(p)
     p.add_argument("map", help="transmission map CSV")
     p.add_argument(
         "--free", default="big_g,f_afmr0",
@@ -248,13 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_fit)
 
     p = sub.add_parser("linewidth", help="field-domain linewidth at a fixed frequency")
-    _common_flags(p)
+    _io_flags(p)
     p.add_argument("map", help="transmission map CSV")
     p.add_argument("--freq", type=float, required=True, help="cut frequency (GHz)")
     p.set_defaults(run=cmd_linewidth)
 
     p = sub.add_parser("trend", help="fit y = A ± B·T^4 to (temperature, value) points")
-    _common_flags(p)
+    _io_flags(p, config=False)
     p.add_argument("points", help="CSV of temperature,value rows")
     p.add_argument("--sign", choices=("+", "-"), default="+")
     p.add_argument("--free-exponent", action="store_true")
@@ -262,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_trend)
 
     p = sub.add_parser("phase-map", help="rasterized phase diagram (CSV)")
-    _common_flags(p)
+    _io_flags(p, table=True)
     p.add_argument("--b-min", type=float, default=0.0)
     p.add_argument("--b-max", type=float, default=3.0)
     p.add_argument("--b-step", type=float, default=0.05)

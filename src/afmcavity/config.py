@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import CavityParams, CouplingParams, SpinSystemParams, checked, params_dict
 from .phase import PhaseBoundaries
-from .spectra import LossParams
+from .spectra import LossParams, write_json
 
 
 class ConfigError(ValueError):
@@ -58,76 +58,64 @@ _SECTION_TYPES = {
     "freq_grid": GridSpec,
     "temperature_grid": GridSpec,
 }
-_SCALAR_KEYS = {"seed": int, "noise_sigma_db": float}
-
-_DEFAULT_GRIDS = {
-    "field_grid": GridSpec(start=0.0, stop=1.1, step=0.005),
-    "freq_grid": GridSpec(start=8.0, stop=15.0, step=0.005),
-    "temperature_grid": GridSpec(start=0.0, stop=3.0, step=0.05),
-}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    spins: SpinSystemParams
-    cavity: CavityParams
-    coupling: CouplingParams
-    loss: LossParams
-    boundaries: PhaseBoundaries
-    field_grid: GridSpec
-    freq_grid: GridSpec
-    temperature_grid: GridSpec
+    spins: SpinSystemParams = SpinSystemParams()
+    cavity: CavityParams = CavityParams()
+    coupling: CouplingParams = CouplingParams()
+    loss: LossParams | None = None  # None: derived from the cavity
+    boundaries: PhaseBoundaries = PhaseBoundaries()
+    field_grid: GridSpec = GridSpec(start=0.0, stop=1.1, step=0.005)
+    freq_grid: GridSpec = GridSpec(start=8.0, stop=15.0, step=0.005)
+    temperature_grid: GridSpec = GridSpec(start=0.0, stop=3.0, step=0.05)
     seed: int = 0
     noise_sigma_db: float = 0.0
 
+    def __post_init__(self):
+        if self.loss is None:
+            object.__setattr__(self, "loss", LossParams.from_cavity(self.cavity))
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ConfigError(f"seed: expected an integer, got {self.seed!r}")
+        noise = self.noise_sigma_db
+        if isinstance(noise, bool) or not isinstance(noise, (int, float)):
+            raise ConfigError(f"noise_sigma_db: expected a number, got {noise!r}")
+        try:
+            object.__setattr__(self, "noise_sigma_db", checked("value", noise, 0.0))
+        except (ValueError, OverflowError) as exc:  # OverflowError: an int past 1e308
+            raise ConfigError(f"noise_sigma_db: {exc}") from None
+
     @classmethod
     def defaults(cls) -> "RunConfig":
-        return cls.from_dict({})
+        return cls()
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("configuration root must be a JSON object")
-        known = set(_SECTION_TYPES) | set(_SCALAR_KEYS)
+        known = {f.name for f in dataclass_fields(cls)}
         for key in raw:
             if key not in known:
                 raise ConfigError(f"unknown key: {key}")
-
-        sections = {name: build_section(name, raw.get(name)) for name in _SECTION_TYPES}
-        if sections["loss"] is None:
-            sections["loss"] = LossParams.from_cavity(sections["cavity"])
-
-        seed = raw.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError(f"seed: expected an integer, got {seed!r}")
-        noise = raw.get("noise_sigma_db", 0.0)
-        if isinstance(noise, bool) or not isinstance(noise, (int, float)):
-            raise ConfigError(f"noise_sigma_db: expected a number, got {noise!r}")
-        try:
-            noise = checked("value", noise, 0.0)
-        except (ValueError, OverflowError) as exc:  # OverflowError: an int past 1e308
-            raise ConfigError(f"noise_sigma_db: {exc}") from None
-        return cls(seed=seed, noise_sigma_db=noise, **sections)
+        # a null section means the default, as an omitted one does
+        given = [name for name in _SECTION_TYPES if raw.get(name) is not None]
+        sections = {name: build_section(name, raw[name]) for name in given}
+        return cls(**sections, **{key: raw[key] for key in raw.keys() - _SECTION_TYPES})
 
     def to_dict(self) -> dict:
-        out = {name: params_dict(getattr(self, name)) for name in _SECTION_TYPES}
-        out["seed"] = self.seed
-        out["noise_sigma_db"] = self.noise_sigma_db
-        return out
+        return {
+            name: params_dict(value) if name in _SECTION_TYPES else value
+            for name, value in vars(self).items()
+        }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return write_json(self.to_dict())
 
 
 def build_section(name: str, raw):
-    """Strictly parse one config section; ``None`` gives the section default."""
+    """Strictly parse one config section."""
     section_type = _SECTION_TYPES[name]
-    if raw is None:
-        if name in _DEFAULT_GRIDS:
-            return _DEFAULT_GRIDS[name]
-        if name == "loss":
-            return None  # derived from the cavity afterwards
-        return section_type()
     if not isinstance(raw, dict):
         raise ConfigError(f"{name}: expected an object")
     allowed = {f.name for f in dataclass_fields(section_type)}

@@ -56,15 +56,13 @@ def levenberg_marquardt(
     x0,
     jac: Callable[[np.ndarray], np.ndarray] | None = None,
     max_iterations: int = MAX_ITERATIONS,
-    gradient_tol: float = GRADIENT_TOL,
-    step_tol: float = STEP_TOL,
 ) -> LMResult:
     """Minimize sum(fun(x)**2) starting from x0.
 
     ``fun`` maps parameters to a residual vector; ``jac`` to its Jacobian
     (central differences are used when omitted).  ``converged`` is set only
     when the gradient criterion is met, so a True flag certifies a stationary
-    point to ``gradient_tol``.
+    point to ``GRADIENT_TOL``.
     """
     x = np.array(x0, dtype=float).ravel()
     r = np.asarray(fun(x), dtype=float)
@@ -81,7 +79,7 @@ def levenberg_marquardt(
     for iterations in range(1, max_iterations + 1):
         grad = jmat.T @ r
         gradient_norm = float(np.max(np.abs(grad))) if grad.size else 0.0
-        if gradient_norm < gradient_tol:
+        if gradient_norm < GRADIENT_TOL:
             converged = True
             message = "gradient below tolerance"
             iterations -= 1
@@ -112,13 +110,13 @@ def levenberg_marquardt(
         cost = cost_new
         jmat = np.atleast_2d(np.asarray(jac_fn(x), dtype=float))
         lam = max(lam / 9.0, 1e-14)
-        if np.linalg.norm(step) <= step_tol * (np.linalg.norm(x) + step_tol):
+        if np.linalg.norm(step) <= STEP_TOL * (np.linalg.norm(x) + STEP_TOL):
             message = "parameter step below tolerance"
             break
 
     grad = jmat.T @ r
     gradient_norm = float(np.max(np.abs(grad))) if grad.size else 0.0
-    if gradient_norm < gradient_tol:
+    if gradient_norm < GRADIENT_TOL:
         converged = True
         if message == "maximum iterations reached":
             message = "gradient below tolerance"

@@ -92,15 +92,11 @@ class TransmissionMap:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    def spectrum_at(self, field_index: int) -> np.ndarray:
-        """Transmission vs frequency at one field point (a column of the map)."""
-        return self.values[field_index]
-
 
 def _frozen(values) -> np.ndarray:
-    """A read-only float array: ``values`` itself if already read-only, else a frozen copy."""
+    """A read-only float array: ``values`` itself if read-only and owning its data, else a copy."""
     arr = np.asarray(values, dtype=float)
-    if arr.flags.writeable:
+    if arr.flags.writeable or not arr.flags.owndata:  # a read-only view sees its base's writes
         arr = arr.copy()  # leaves the caller's array writable and the copy unshared
         arr.flags.writeable = False
     return arr
@@ -284,6 +280,11 @@ def write_csv(header, columns, grid=()) -> str:
     return "\n".join([*header, *rows]) + "\n"
 
 
+def write_json(obj) -> str:
+    """JSON text of every file the package writes: sorted keys, 2-space indent, final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def _data_rows(lines: list[str], start: int):
     """(file line number, line) of each line that is neither blank nor a ``#`` comment."""
     return ((n, line) for n, line in enumerate(lines, start) if line.lstrip()[:1] not in ("", "#"))
@@ -367,9 +368,7 @@ def save_map(tmap: TransmissionMap, csv_path, db: bool = False) -> Path:
     """Write the CSV plus a JSON metadata sidecar with the same stem."""
     csv_path = Path(csv_path)
     csv_path.write_text(map_to_csv(tmap, db=db))
-    sidecar_path(csv_path).write_text(
-        json.dumps(tmap.metadata or {}, sort_keys=True, indent=2) + "\n"
-    )
+    sidecar_path(csv_path).write_text(write_json(tmap.metadata or {}))
     return csv_path
 
 

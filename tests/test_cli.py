@@ -248,8 +248,15 @@ class TestTrend:
         payload = json.loads(capsys.readouterr().out)
         assert payload["coefficient"] == pytest.approx(0.2, rel=1e-6)
 
-    def test_bad_file_exit_2(self, capsys):
+    def test_bad_file_exit_2(self, tmp_path, capsys):
         assert main(["trend", "/nonexistent/points.csv"]) == 2
+        path = tmp_path / "points.csv"
+        path.write_text("1e100,1\n2e100,2\n3e100,3\n")  # T⁴ overflows a float
+        for flags in ([], ["--free-exponent"]):
+            capsys.readouterr()
+            assert main(["trend", str(path), *flags]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: temperature⁴ must be finite") and err.count("\n") == 1
 
     @pytest.mark.parametrize("body, lineno", [
         pytest.param("t,y\n0.5,1.0\n0.6,oops\n", 3, id="bad-value"),
@@ -396,6 +403,36 @@ class TestExitCodes:
         monkeypatch.setattr(cli_module.analysis, "fit_avoided_crossing", stalled_fit)
         assert main(["fit", str(sweep_map)]) == 3
         capsys.readouterr()
+
+
+class TestRemovedFlags:
+    """Each command declares only the shared flags it reads; the rest exit 2."""
+
+    @pytest.mark.parametrize("command, flag", [
+        pytest.param(command, flag, id=f"{command}{flag[0]}")
+        for flag, commands in [
+            (["--seed", "1"], ("dispersion", "fit", "linewidth", "trend", "phase-map")),
+            (["--format", "json"], ("sweep", "fit", "linewidth", "trend")),
+            (["--config", "run.json"], ("trend",)),
+        ]
+        for command in commands
+    ])
+    def test_flag_nothing_reads_exit_2(self, sweep_config, sweep_map, tmp_path, capsys,
+                                       command, flag):
+        points = tmp_path / "points.csv"
+        points.write_text("0.5,35.3\n0.7,36.2\n1.0,40.0\n")
+        argv = {
+            "dispersion": ["dispersion", "--b-max", "0.1"],
+            "sweep": ["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "m.csv")],
+            "fit": ["fit", str(sweep_map)],
+            "linewidth": ["linewidth", str(sweep_map), "--freq", "11.0"],
+            "trend": ["trend", str(points)],
+            "phase-map": ["phase-map", "--b-step", "0.5", "--t-step", "0.5"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 class TestDeterminism:

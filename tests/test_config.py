@@ -50,6 +50,9 @@ class TestRunConfig:
         for noise in (float("nan"), float("inf"), -0.1):
             with pytest.raises(ConfigError, match="noise_sigma_db: value must be finite and >= 0"):
                 RunConfig.from_dict({"noise_sigma_db": noise})
+        # a directly built config is checked the same way
+        with pytest.raises(ConfigError, match="noise_sigma_db: value must be finite and >= 0"):
+            RunConfig(noise_sigma_db=-0.1)
 
     def test_non_numeric_rejected(self):
         with pytest.raises(ConfigError, match="cavity.f_cavity"):
@@ -58,6 +61,9 @@ class TestRunConfig:
             RunConfig.from_dict({"seed": 1.5})
         with pytest.raises(ConfigError, match="seed"):
             RunConfig.from_dict({"seed": True})
+        for seed in (1.5, True):  # a directly built config is checked the same way
+            with pytest.raises(ConfigError, match="seed: expected an integer"):
+                RunConfig(seed=seed)
         # integers past the float range
         with pytest.raises(ConfigError, match="spins: int too large"):
             RunConfig.from_dict({"spins": {"g_factor": 10**400}})

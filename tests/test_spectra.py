@@ -201,6 +201,16 @@ class TestTransmissionMap:
         axis = ac.GridSpec(start=8.0, stop=9.0, step=0.5).samples()
         assert ac.TransmissionMap([0.1], axis, np.ones((1, 3))).freq_axis is axis
 
+    def test_read_only_view_is_copied(self):
+        base = np.ones((2, 2))
+        view = base.view()
+        view.flags.writeable = False
+        tmap = ac.TransmissionMap([0.1, 0.2], [1.0, 2.0], view)
+        cut = ac.VerticalCut(1.0, [0.1, 0.2], view[:, 0])
+        base[0, 0] = -5.0  # the view sees this write; the map and the cut must not
+        assert tmap.values[0, 0] == 1.0 and cut.powers[0] == 1.0
+        assert not tmap.values.flags.writeable
+
 
 class TestSynthesizeMap:
     def test_single_cell(self, spins, cavity, coupling, loss):
