@@ -252,17 +252,6 @@ def _make_objective(b_arr: np.ndarray, p_arr: np.ndarray, baseline: dict, names)
     return residual, jacobian
 
 
-def _initial_big_g(observations) -> float:
-    """Half the smallest two-peak separation, if the data show any pairs."""
-    by_field: dict[float, list[float]] = {}
-    for b, p in observations:
-        by_field.setdefault(b, []).append(p)
-    gaps = [abs(ps[1] - ps[0]) for ps in by_field.values() if len(ps) == 2]
-    if gaps:
-        return 0.5 * min(gaps)
-    return 0.5  # GHz, generic starting point when no splitting is resolved
-
-
 def fit_avoided_crossing(
     peaks: PeakSet,
     spins: SpinSystemParams,
@@ -292,24 +281,26 @@ def fit_avoided_crossing(
     if not lo < hi:
         raise ValueError(f"window must be an increasing interval, got {window!r}")
 
-    observations = [(b, p) for b, p in peaks.observations() if lo <= b <= hi]
-    fields_with_peaks = {b for b, _ in observations}
-    if len(fields_with_peaks) < 3:
+    columns = [c for c in peaks.columns if c.positions and lo <= c.field <= hi]
+    n_fields = len({c.field for c in columns})
+    if n_fields < 3:
         raise FitError(
             f"no usable peaks: need >= 3 field columns with peaks in the window "
-            f"[{lo}, {hi}] T, found {len(fields_with_peaks)}"
+            f"[{lo}, {hi}] T, found {n_fields}"
         )
 
+    gaps = [abs(c.positions[1] - c.positions[0]) for c in columns if len(c.positions) == 2]
     baseline = {
-        "big_g": coupling.big_g if coupling is not None else _initial_big_g(observations),
+        # half the smallest two-peak splitting; 0.5 GHz when no column resolves a pair
+        "big_g": coupling.big_g if coupling is not None else 0.5 * min(gaps, default=1.0),
         "f_afmr0": spins.f_afmr0,
         "g_factor": spins.g_factor,
         "f_cavity": cavity.f_cavity,
     }
     names = tuple(name for name in PARAMETER_ORDER if name in free)
 
-    b_arr = np.array([b for b, _ in observations])
-    p_arr = np.array([p for _, p in observations])
+    b_arr = np.array([c.field for c in columns for _ in c.positions])
+    p_arr = np.array([p for c in columns for p in c.positions])
     residual, jacobian = _make_objective(b_arr, p_arr, baseline, names)
     x0 = np.array([baseline[name] for name in names])
     result = optimize.levenberg_marquardt(residual, x0, jac=jacobian)
@@ -326,7 +317,7 @@ def fit_avoided_crossing(
         gradient_norm=result.gradient_norm,
         fixed=fixed,
         message=result.message,
-        n_observations=len(observations),
+        n_observations=p_arr.size,
     )
 
 
@@ -487,12 +478,12 @@ def fit_t4_trend(
         raise FitError(f"need at least {min_points} points, got {t.size}")
     t = core.checked("temperature", t, 0.0, strict=True)
     y = core.checked("value", data[:, 1])
-    if np.ptp(t) == 0:
-        raise FitError("singular design: all temperatures are equal")
     s = 1.0 if sign == "+" else -1.0
 
     with np.errstate(over="ignore"):  # an overflow fails the check
         t4 = core.checked("temperature⁴", t**4)
+    if np.ptp(t4) == 0:  # equal temperatures, or ones whose 4th powers underflow alike
+        raise FitError("singular design: all temperatures⁴ are equal")
     design = np.column_stack([np.ones_like(t), s * t4])
     (offset, coefficient), *_ = np.linalg.lstsq(design, y, rcond=None)
     exponent = 4.0

@@ -19,6 +19,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 
+PHASE_FIELD_GRID = GridSpec(start=0.0, stop=3.0, step=0.05)  # tesla; phase-map's field axis
+
 
 def _io_flags(parser: argparse.ArgumentParser, config: bool = True, table: bool = False) -> None:
     """``--out``, plus ``--config`` where a run config is read and ``--format`` for tables."""
@@ -27,6 +29,18 @@ def _io_flags(parser: argparse.ArgumentParser, config: bool = True, table: bool 
     parser.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
     if table:
         parser.add_argument("--format", choices=("csv", "json"), default="csv", help="table format")
+
+
+def _grid_flags(parser: argparse.ArgumentParser, axis: str, unit: str) -> None:
+    """``--{axis}-min``, ``--{axis}-max`` and ``--{axis}-step``, with no defaults."""
+    for flag, part in (("min", "start"), ("max", "stop"), ("step", "step")):
+        parser.add_argument(f"--{axis}-{flag}", type=float, dest=f"{axis}_{part}", metavar=unit)
+
+
+def _grid(args, axis: str, base: GridSpec) -> GridSpec:
+    """``base`` with the parts given by the ``--{axis}-*`` flags laid over it."""
+    given = {part: getattr(args, f"{axis}_{part}") for part in ("start", "stop", "step")}
+    return replace(base, **{k: v for k, v in given.items() if v is not None})
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -50,9 +64,7 @@ def _map_params(tmap: spectra.TransmissionMap, cfg: RunConfig):
 
 def cmd_dispersion(args) -> int:
     cfg = load_config(args.config)
-    given = {"start": args.b_min, "stop": args.b_max, "step": args.b_step}
-    grid = replace(cfg.field_grid, **{k: v for k, v in given.items() if v is not None})
-    fields = core.checked("field", grid.samples(), 0.0)
+    fields = core.checked("field", _grid(args, "b", cfg.field_grid).samples(), 0.0)
     flop = core.spin_flop_field(cfg.spins)
     lower, upper, clamped = core.zeeman_branches(cfg.spins.f_afmr0, cfg.spins.g_factor, fields)
     core.checked("upper branch f_afmr0 + g_factor * 13.996245 GHz/T * field", upper)
@@ -162,10 +174,8 @@ def cmd_trend(args) -> int:
 
 def cmd_phase_map(args) -> int:
     cfg = load_config(args.config)
-    b_grid = GridSpec(start=args.b_min, stop=args.b_max, step=args.b_step)
-    t_grid = GridSpec(start=args.t_min, stop=args.t_max, step=args.t_step)
-    fields = b_grid.samples().tolist()
-    temps = t_grid.samples().tolist()
+    fields = _grid(args, "b", PHASE_FIELD_GRID).samples().tolist()
+    temps = _grid(args, "t", cfg.temperature_grid).samples().tolist()
     labels = phase.phase_grid(fields, temps, cfg.boundaries)
     note = "boundary shapes are approximate parametrized curves"
     if args.format == "json":
@@ -219,9 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dispersion", help="resonance branches vs field (CSV)")
     _io_flags(p, table=True)
-    p.add_argument("--b-min", type=float, help="field start (T)")
-    p.add_argument("--b-max", type=float, help="field stop (T)")
-    p.add_argument("--b-step", type=float, help="field step (T)")
+    _grid_flags(p, "b", "T")
     p.set_defaults(run=cmd_dispersion)
 
     p = sub.add_parser("sweep", help="synthesize a transmission map (CSV + JSON sidecar)")
@@ -257,12 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phase-map", help="rasterized phase diagram (CSV)")
     _io_flags(p, table=True)
-    p.add_argument("--b-min", type=float, default=0.0)
-    p.add_argument("--b-max", type=float, default=3.0)
-    p.add_argument("--b-step", type=float, default=0.05)
-    p.add_argument("--t-min", type=float, default=0.0)
-    p.add_argument("--t-max", type=float, default=3.0)
-    p.add_argument("--t-step", type=float, default=0.05)
+    _grid_flags(p, "b", "T")
+    _grid_flags(p, "t", "K")
     p.set_defaults(run=cmd_phase_map)
 
     return parser

@@ -8,6 +8,7 @@ run are worse than a hard failure.  Errors carry the offending key path.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
@@ -124,6 +125,8 @@ def build_section(name: str, raw):
             raise ConfigError(f"unknown key: {name}.{key}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{name}.{key}: expected a number, got {value!r}")
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ConfigError(f"{name}.{key}: out of the float range ({name}: int too large)")
     if name in ("field_grid", "freq_grid", "temperature_grid"):
         missing = {"start", "stop", "step"} - set(raw)
         if missing:

@@ -72,23 +72,17 @@ def levenberg_marquardt(
     jac_fn = jac if jac is not None else (lambda p: numerical_jacobian(fun, p))
     jmat = np.atleast_2d(np.asarray(jac_fn(x), dtype=float))
     lam = 1e-3
-    message = "maximum iterations reached"
-    converged = False
-    iterations = 0
+    message = ""
 
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(max(max_iterations, 0) + 1):  # a negative cap acts as 0
         grad = jmat.T @ r
         gradient_norm = float(np.max(np.abs(grad))) if grad.size else 0.0
-        if gradient_norm < GRADIENT_TOL:
-            converged = True
-            message = "gradient below tolerance"
-            iterations -= 1
+        converged = gradient_norm < GRADIENT_TOL
+        if converged or message or iterations >= max_iterations:
             break
 
         normal = jmat.T @ jmat
         damping = np.diag(np.maximum(np.diag(normal), 1e-12))
-        accepted = False
-        step = None
         for _ in range(50):
             try:
                 step = np.linalg.solve(normal + lam * damping, -grad)
@@ -98,12 +92,11 @@ def levenberg_marquardt(
             r_new = np.asarray(fun(x + step), dtype=float)
             cost_new = float(r_new @ r_new)
             if cost_new < cost:
-                accepted = True
                 break
             lam *= 10.0
-        if not accepted:
+        else:
             message = "no acceptable step found (damping exhausted)"
-            break
+            continue
 
         x = x + step
         r = r_new
@@ -112,14 +105,8 @@ def levenberg_marquardt(
         lam = max(lam / 9.0, 1e-14)
         if np.linalg.norm(step) <= STEP_TOL * (np.linalg.norm(x) + STEP_TOL):
             message = "parameter step below tolerance"
-            break
 
-    grad = jmat.T @ r
-    gradient_norm = float(np.max(np.abs(grad))) if grad.size else 0.0
-    if gradient_norm < GRADIENT_TOL:
-        converged = True
-        if message == "maximum iterations reached":
-            message = "gradient below tolerance"
+    message = message or ("gradient below tolerance" if converged else "maximum iterations reached")
     return LMResult(
         x=x,
         residual=r,

@@ -335,6 +335,38 @@ class TestFitAvoidedCrossing:
                 default_peaks, spins, cavity, free=("big_g",), window=(2.0, 3.0)
             )
 
+    @staticmethod
+    def _branch_peaks(spins, cavity, layout):
+        """A PeakSet with the true branches at each field: "both", "lower", "upper" or "none"."""
+        coupling = ac.CouplingParams(big_g=1.72)
+        columns = []
+        for b, kind in layout:
+            pair = ac.polariton_frequencies(cavity, ac.magnon_branches(spins, b).lower, coupling)
+            positions = {
+                "both": (pair.lower, pair.upper),
+                "lower": (pair.lower,),
+                "upper": (pair.upper,),
+                "none": (),
+            }[kind]
+            n = len(positions)
+            columns.append(analysis.ColumnPeaks(b, positions, (1.0,) * n, (0.001,) * n))
+        return analysis.PeakSet(columns=tuple(columns), freq_range=(0.0, 60.0))
+
+    def test_two_columns_with_peaks_rejected(self, spins, cavity):
+        # an empty column and a column past the window do not count
+        layout = [(0.5, "both"), (0.6, "none"), (0.8, "lower"), (1.15, "both")]
+        peaks = self._branch_peaks(spins, cavity, layout)
+        with pytest.raises(analysis.FitError, match="found 2"):
+            ac.fit_avoided_crossing(peaks, spins, cavity, free=("big_g",))
+
+    def test_three_columns_with_one_peak_columns_fit(self, spins, cavity):
+        layout = [(0.5, "lower"), (0.6, "none"), (0.8, "both"), (1.0, "upper"), (1.15, "both")]
+        peaks = self._branch_peaks(spins, cavity, layout)
+        report = ac.fit_avoided_crossing(peaks, spins, cavity, free=("big_g",))
+        assert report.n_observations == 4
+        assert report.converged
+        assert report.value_of("big_g") == pytest.approx(1.72, rel=1e-6)
+
     def test_window_filters_observations(self, default_peaks, spins, cavity):
         report = ac.fit_avoided_crossing(
             default_peaks, spins, cavity, free=("big_g",), window=(0.6, 1.0)

@@ -258,6 +258,15 @@ class TestTrend:
             err = capsys.readouterr().err
             assert err.startswith("error: temperature⁴ must be finite") and err.count("\n") == 1
 
+    def test_underflowing_quartic_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "points.csv"
+        path.write_text("1e-90,35\n2e-90,35.1\n3e-90,35.3\n")  # every T⁴ underflows to 0
+        for flags in ([], ["--free-exponent"]):
+            capsys.readouterr()
+            assert main(["trend", str(path), *flags]) == 2
+            err = capsys.readouterr().err
+            assert err == "error: singular design: all temperatures⁴ are equal\n"
+
     @pytest.mark.parametrize("body, lineno", [
         pytest.param("t,y\n0.5,1.0\n0.6,oops\n", 3, id="bad-value"),
         pytest.param("t,y\n0.5,1.0\n\n0.6,oops\n", 4, id="bad-value-after-blank"),
@@ -296,6 +305,18 @@ class TestPhaseMap:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
         assert lines[2].endswith("paramagnetic")
+
+    def test_temperature_grid_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"temperature_grid": {"start": 0.5, "stop": 1.0, "step": 0.25}}))
+        argv = ["phase-map", "--config", str(cfg), "--format", "json", "--b-step", "1.5"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["temperature_k"] == [0.5, 0.75, 1.0]
+        assert payload["field_t"] == [0.0, 1.5, 3.0]  # the field axis keeps its own base
+        # a --t-* flag replaces only its own part of the config grid
+        assert main([*argv, "--t-max", "0.75"]) == 0
+        assert json.loads(capsys.readouterr().out)["temperature_k"] == [0.5, 0.75]
 
     def test_degenerate_grid_header_only(self, capsys):
         code = main(["phase-map", "--b-min", "1", "--b-max", "0", "--b-step", "0.5"])
@@ -344,6 +365,8 @@ class TestExitCodes:
                      "loss: cavity_total_linewidth²", id="loss-linewidths"),
         pytest.param(["dispersion"], {"spins": {"g_factor": 1e308}},
                      "spins: spin-flop field f_afmr0 / (g_factor", id="zeeman-slope"),
+        pytest.param(["dispersion"], {"spins": {"g_factor": 10**400}},  # a JSON integer
+                     "spins.g_factor: out of the float range", id="int-past-float-range"),
         pytest.param(["dispersion"], {"spins": {"g_factor": 1e300},
                                       "field_grid": {"start": 0.0, "stop": 1e10, "step": 1e9}},
                      "upper branch", id="upper-branch"),

@@ -101,3 +101,61 @@ def test_covariance_zero_dof():
     residual = np.array([0.1, -0.2])
     sigma = optimize.covariance_uncertainties(jac, residual)
     assert np.all(sigma == 0.0)
+
+
+def _rosenbrock(x):
+    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+
+# (residual, x0, jac, max_iterations) -> (message, iterations, converged, gradient_norm);
+# the cases call no transcendental function, so the pinned figures are plain IEEE
+# arithmetic
+STOP_CASES = {
+    "gradient": (
+        (lambda x: np.array([x[0] - 3.0, x[1] + 2.0]), [0.0, 0.0], None, 200),
+        ("gradient below tolerance", 3, True, 4.110489726343893e-12),
+    ),
+    "gradient-at-start": (
+        (lambda x: np.array([x[0] - 3.0]), [3.0], None, 0),
+        ("gradient below tolerance", 0, True, 0.0),
+    ),
+    "step": (
+        (
+            lambda x: np.array([1e6 * (x[0] - 1e6) ** 2]),
+            [0.0],
+            lambda x: np.array([[2e6 * (x[0] - 1e6)]]),
+            200,
+        ),
+        ("parameter step below tolerance", 40, False, 1.5101283466022454e-06),
+    ),
+    "damping": (  # a wrong-sign Jacobian points every step uphill
+        (lambda x: np.array([x[0] - 3.0]), [0.0], lambda x: np.array([[-1.0]]), 200),
+        ("no acceptable step found (damping exhausted)", 1, False, 3.0),
+    ),
+    "max-0": (
+        (_rosenbrock, [-1.2, 1.0], None, 0),
+        ("maximum iterations reached", 0, False, 107.80000000147153),
+    ),
+    "max-negative": (  # a negative cap acts as 0
+        (_rosenbrock, [-1.2, 1.0], None, -1),
+        ("maximum iterations reached", 0, False, 107.80000000147153),
+    ),
+    "max-1": (
+        (_rosenbrock, [-1.2, 1.0], None, 1),
+        ("maximum iterations reached", 1, False, 14.322629006989528),
+    ),
+    "max-2": (
+        (_rosenbrock, [-1.2, 1.0], None, 2),
+        ("maximum iterations reached", 2, False, 8.927563752111693),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", STOP_CASES.values(), ids=STOP_CASES.keys())
+def test_stop_reasons_pinned(case):
+    (fun, x0, jac, max_iterations), (message, iterations, converged, gradient_norm) = case
+    result = optimize.levenberg_marquardt(fun, x0, jac=jac, max_iterations=max_iterations)
+    assert result.message == message
+    assert result.iterations == iterations
+    assert result.converged is converged
+    assert result.gradient_norm == pytest.approx(gradient_norm, rel=1e-9, abs=1e-300)
