@@ -21,7 +21,7 @@ from .analysis import (
     magnon_linewidth_estimate,
 )
 from .config import ConfigError, GridSpec, RunConfig, load_config
-from .constants import CONSTANTS, GHZ_PER_TESLA_PER_G, PhysicalConstants
+from .constants import GHZ_PER_TESLA_PER_G
 from .core import (
     BranchPair,
     CavityParams,
@@ -63,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ANTIFERROMAGNETIC",
     "BranchPair",
-    "CONSTANTS",
     "CavityParams",
     "ColumnPeaks",
     "ConfigError",
@@ -77,7 +76,6 @@ __all__ = [
     "PARAMAGNETIC",
     "PeakSet",
     "PhaseBoundaries",
-    "PhysicalConstants",
     "RegimeReport",
     "RunConfig",
     "SPIN_FLOP",

@@ -220,29 +220,31 @@ def _make_objective(b_arr: np.ndarray, p_arr: np.ndarray, baseline: dict, names)
     Each observed peak is re-assigned to the nearest model branch on every
     evaluation; the Jacobian differentiates the branch currently assigned.
     A branch moves with f_m at its magnon weight, with f_cavity at the rest,
-    and with G at ±G/r (r the half splitting); a clamped magnon frequency no
-    longer moves with f_afmr0 or g_factor.
+    and with G at ±G/r (r the half splitting); past the spin-flop field the magnon
+    is clamped and decoupled (:func:`core.coupled_magnon`) and moves with none of these.
     """
 
     def model(x: np.ndarray):
         theta = dict(baseline)
         theta.update(zip(names, x))
-        f_m, _, clamped = core.zeeman_branches(theta["f_afmr0"], theta["g_factor"], b_arr)
-        lower, upper, weight = core.dressed_modes(theta["f_cavity"], f_m, theta["big_g"])
+        f_m, big_g, clamped = core.coupled_magnon(
+            theta["f_afmr0"], theta["g_factor"], theta["big_g"], b_arr
+        )
+        lower, upper, weight = core.dressed_modes(theta["f_cavity"], f_m, big_g)
         pick_upper = np.abs(p_arr - upper) < np.abs(p_arr - lower)
-        return theta, clamped, lower, upper, weight, pick_upper
+        return big_g, clamped, lower, upper, weight, pick_upper
 
     def residual(x: np.ndarray) -> np.ndarray:
         _, _, lower, upper, _, pick_upper = model(x)
         return p_arr - np.where(pick_upper, upper, lower)
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        theta, clamped, lower, upper, weight, pick_upper = model(x)
+        big_g, clamped, lower, upper, weight, pick_upper = model(x)
         d_fm = np.where(pick_upper, weight, 1.0 - weight)
         d_f0 = np.where(clamped, 0.0, d_fm)
         half_splitting = np.maximum(0.5 * (upper - lower), 1e-300)
         grad = {
-            "big_g": np.where(pick_upper, 1.0, -1.0) * theta["big_g"] / half_splitting,
+            "big_g": np.where(pick_upper, 1.0, -1.0) * big_g / half_splitting,
             "f_afmr0": d_f0,
             "g_factor": d_f0 * (-GHZ_PER_TESLA_PER_G * b_arr),
             "f_cavity": 1.0 - d_fm,
@@ -502,6 +504,8 @@ def fit_t4_trend(
         result = optimize.levenberg_marquardt(
             residual, np.array([offset, coefficient, 4.0]), jac=jacobian
         )
+        if not result.converged:
+            raise ConvergenceError(f"trend fit did not converge: {result.message}")
         offset, coefficient, exponent = result.x
         rms = float(np.sqrt(result.cost / t.size))
     else:

@@ -62,6 +62,12 @@ def _map_params(tmap: spectra.TransmissionMap, cfg: RunConfig):
         raise ConfigError(f"map sidecar: {exc}") from None
 
 
+def _lossy_cavity(cavity, loss, f_cavity: float) -> core.CavityParams:
+    """``cavity`` at ``f_cavity``, with the Q that gives the map's total cavity linewidth."""
+    kappa = core.checked("loss cavity_total_linewidth", loss.cavity_total_linewidth, 0.0, True)
+    return replace(cavity, f_cavity=f_cavity, quality_factor=f_cavity / kappa)
+
+
 def cmd_dispersion(args) -> int:
     cfg = load_config(args.config)
     fields = core.checked("field", _grid(args, "b", cfg.field_grid).samples(), 0.0)
@@ -118,7 +124,7 @@ def cmd_fit(args) -> int:
     fitted = {**report.fixed, **payload["parameters"]}
     regime = core.coupling_regime(
         core.CouplingParams(big_g=abs(fitted["big_g"])),
-        replace(cavity, f_cavity=fitted["f_cavity"]),
+        _lossy_cavity(cavity, loss, fitted["f_cavity"]),
         loss.magnon_linewidth,
     )
     payload["regime"] = {"label": regime.label, "ratio": regime.ratio}
@@ -149,7 +155,7 @@ def cmd_linewidth(args) -> int:
             corrected = analysis.magnon_linewidth_estimate(
                 gamma_f,
                 f_magnon,
-                cavity,
+                _lossy_cavity(cavity, loss, cavity.f_cavity),
                 coupling,
                 upper_branch=cut.frequency >= cavity.f_cavity,
             )

@@ -5,34 +5,9 @@ from an external source, so that numerical results are reproducible across
 environments.
 """
 
-from __future__ import annotations
+BOHR_MAGNETON = 9.2740100783e-24  # J/T
+PLANCK = 6.62607015e-34  # J*s (exact in SI 2019)
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Bohr magneton and Planck constant, plus the derived field-to-frequency slope."""
-
-    bohr_magneton: float = 9.2740100783e-24  # J/T
-    planck: float = 6.62607015e-34  # J*s (exact in SI 2019)
-
-    def __post_init__(self):
-        if not (self.bohr_magneton > 0 and self.planck > 0):
-            raise ValueError("physical constants must be positive")
-
-    @property
-    def gyromagnetic_per_g(self) -> float:
-        """Zeeman slope in GHz/T for a unit g-factor: mu_B / h, unit-converted.
-
-        13.996245 GHz/T with the pinned values; multiply by the g-factor to get
-        the actual field-to-frequency conversion of a spin system.
-        """
-        return self.bohr_magneton / self.planck * 1e-9
-
-
-CONSTANTS = PhysicalConstants()
-
-#: GHz per tesla per unit g-factor, the slope used by every field<->frequency
-#: conversion in the toolkit.
-GHZ_PER_TESLA_PER_G = CONSTANTS.gyromagnetic_per_g
+#: GHz per tesla per unit g-factor (mu_B / h, 13.996245 GHz/T), the slope used
+#: by every field<->frequency conversion in the toolkit.
+GHZ_PER_TESLA_PER_G = BOHR_MAGNETON / PLANCK * 1e-9

@@ -131,6 +131,15 @@ def zeeman_branches(f_afmr0, g_factor, field):
         return np.maximum(lower, 0.0), f_afmr0 + zeeman, lower < 0.0
 
 
+def coupled_magnon(f_afmr0, g_factor, big_g, field):
+    """Lower magnon branch and its coupling over a field array: (f_m, G, clamped).
+
+    Past the spin-flop field f_m is clamped at 0 and G is 0, leaving the bare cavity.
+    """
+    f_m, _, clamped = zeeman_branches(f_afmr0, g_factor, field)
+    return f_m, np.where(clamped, 0.0, big_g), clamped
+
+
 def dressed_modes(f_c, f_m, big_g):
     """Eigenvalues of [[f_c, G], [G, f_m]] over arrays: (lower, upper, w).
 

@@ -51,6 +51,7 @@ def numerical_jacobian(
     return jac
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing JᵀJ or trial fails the cost test
 def levenberg_marquardt(
     fun: Callable[[np.ndarray], np.ndarray],
     x0,

@@ -102,8 +102,8 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
-def _evaluate_s21(freqs, f_magnon, cavity, coupling, loss, out=None) -> np.ndarray:
-    """|S21|² over a frequency array at one magnon frequency, in real arithmetic.
+def _evaluate_s21(freqs, f_magnon, big_g, cavity, loss, out=None) -> np.ndarray:
+    """|S21|² over a frequency array at one magnon frequency and coupling G, in real arithmetic.
 
     With a = f − f_m, b = γ_m/2 and q = G²/(a² + b²), the magnon adds q·b to
     the cavity's half linewidth and shifts it by −q·a:
@@ -116,7 +116,7 @@ def _evaluate_s21(freqs, f_magnon, cavity, coupling, loss, out=None) -> np.ndarr
     freqs = np.asarray(freqs, dtype=float)
     if out is None:
         out = np.empty(freqs.shape)
-    big_g2 = coupling.big_g**2
+    big_g2 = big_g**2
     b = 0.5 * loss.magnon_linewidth
     with np.errstate(all="ignore"):
         a = np.subtract(freqs, f_magnon)
@@ -148,22 +148,19 @@ def s21_power(
     cavity: CavityParams,
     coupling: CouplingParams,
     loss: LossParams,
-    allow_beyond_spin_flop: bool = False,
 ) -> float:
     """Linear power transmission at a single (frequency, field) point.
 
-    Fields past the spin-flop transition are extrapolation (the magnon branch
-    is clamped at zero there) and are rejected unless explicitly allowed.
+    Fields past the spin-flop transition are rejected: the magnon branch is
+    clamped at zero there and a map holds the bare cavity instead.
     """
     f = core.checked("f", f, 0.0, strict=True)
     branches = core.magnon_branches(spins, field)
-    if branches.clamped and not allow_beyond_spin_flop:
+    if branches.clamped:
         raise ValueError(
-            f"field {field} T lies beyond the spin-flop field "
-            f"{core.spin_flop_field(spins):.4f} T; pass allow_beyond_spin_flop=True "
-            "to evaluate the (extrapolated) clamped model there"
+            f"field {field} T lies beyond the spin-flop field {core.spin_flop_field(spins):.4f} T"
         )
-    return float(_evaluate_s21([f], branches.lower, cavity, coupling, loss)[0])
+    return float(_evaluate_s21([f], branches.lower, coupling.big_g, cavity, loss)[0])
 
 
 def synthesize_map(
@@ -177,18 +174,18 @@ def synthesize_map(
     """Build the full |S21|² grid for a field sweep.
 
     Columns beyond the spin-flop field get the decoupled (G = 0) cavity
-    response instead of an invalid magnon model; those field values are
-    listed in the metadata.
+    response instead of an invalid magnon model (see
+    :func:`core.coupled_magnon`); those field values are listed in the metadata.
     """
     field_axis = core.checked("field", field_axis, 0.0)
     freq_axis = core.checked("frequency", freq_axis, 0.0, strict=True)
 
-    f_magnon, _, clamped = core.zeeman_branches(spins.f_afmr0, spins.g_factor, field_axis)
-    decoupled = CouplingParams(big_g=0.0)
+    f_magnon, big_g, clamped = core.coupled_magnon(
+        spins.f_afmr0, spins.g_factor, coupling.big_g, field_axis
+    )
     values = np.empty((field_axis.size, freq_axis.size))
-    for i in range(field_axis.size):
-        row_coupling = decoupled if clamped[i] else coupling
-        _evaluate_s21(freq_axis, f_magnon[i], cavity, row_coupling, loss, out=values[i])
+    for i, (f_m, g) in enumerate(zip(f_magnon.tolist(), big_g.tolist())):
+        _evaluate_s21(freq_axis, f_m, g, cavity, loss, out=values[i])
     values.flags.writeable = False  # handed over without a copy
 
     metadata = {

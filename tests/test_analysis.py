@@ -256,6 +256,18 @@ class TestFitAvoidedCrossing:
             assert report.value_of("big_g") == pytest.approx(1.72, rel=0.01)
             assert report.value_of("f_afmr0") == pytest.approx(34.0, rel=0.01)
 
+    def test_window_past_spin_flop_sees_bare_cavity(self, spins, cavity, coupling, loss):
+        # map columns past the spin-flop field hold the bare cavity; the fit models them so
+        field_axis = ac.GridSpec(start=0.0, stop=1.5, step=0.005).samples()
+        freq_axis = ac.GridSpec(start=8.0, stop=15.0, step=0.005).samples()
+        tmap = ac.synthesize_map(field_axis, freq_axis, spins, cavity, coupling, loss)
+        report = ac.fit_avoided_crossing(
+            ac.extract_peaks(tmap, 0.2), spins, cavity, free=("big_g", "f_afmr0"), window=(0, 1.5)
+        )
+        assert report.converged
+        assert report.value_of("big_g") == pytest.approx(1.72, rel=1e-3)
+        assert report.residual_rms < 1e-3
+
     def test_zero_coupling_data_fits_to_zero(self, spins, cavity):
         # branch pairs generated with G = 0: one magnon-like, one cavity-like
         fields = np.linspace(0.2, 1.0, 17)
@@ -439,15 +451,16 @@ class TestFitJacobian:
         f_m = theta["f_afmr0"] - theta["g_factor"] * GHZ_PER_TESLA_PER_G * b
         clamped = f_m < 0.0
         f_m = max(0.0, f_m)
+        big_g = 0.0 if clamped else theta["big_g"]  # past the spin flop the magnon decouples
         half = 0.5 * (theta["f_cavity"] - f_m)
-        radius = math.hypot(half, theta["big_g"])
+        radius = math.hypot(half, big_g)
         mean = 0.5 * (theta["f_cavity"] + f_m)
         upper = abs(p - (mean + radius)) < abs(p - (mean - radius))
         sign = 1.0 if upper else -1.0
         floor = max(radius, 1e-300)
         d_dfm = 0.5 - sign * half / (2.0 * floor)
         grad = {
-            "big_g": sign * theta["big_g"] / floor,
+            "big_g": sign * big_g / floor,
             "f_afmr0": 0.0 if clamped else d_dfm,
             "g_factor": 0.0 if clamped else d_dfm * (-GHZ_PER_TESLA_PER_G * b),
             "f_cavity": 0.5 + sign * half / (2.0 * floor),

@@ -185,17 +185,36 @@ class TestFit:
         payload = json.loads(out.read_text())
         assert "parameters" in payload
 
+    def test_regime_reads_the_maps_cavity_linewidth(self, tmp_path, capsys):
+        # κ_tot = 2 GHz exceeds G = 1.72 GHz, although f_cavity / Q is 8.65 MHz
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"loss": {
+            "cavity_internal_linewidth": 1.0, "cavity_external_linewidth": 1.0,
+        }}))
+        out = tmp_path / "map.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["fit", str(out)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["parameters"]["big_g"] == pytest.approx(1.72, rel=0.005)
+        assert payload["regime"]["label"] == "weak"
 
-@pytest.fixture(scope="module")
-def fine_map(tmp_path_factory):
-    cfg = tmp_path_factory.mktemp("cfg") / "fine.json"
+
+def fine_sweep(directory: Path, loss=None) -> Path:
+    """A map on the fine linewidth grid, with the config's ``loss`` section if given."""
+    cfg = directory / "run.json"
     cfg.write_text(json.dumps({
         "field_grid": {"start": 0.64, "stop": 0.72, "step": 0.0001},
         "freq_grid": {"start": 15.5, "stop": 15.7, "step": 0.005},
+        "loss": loss,
     }))
-    out = tmp_path_factory.mktemp("maps") / "fine.csv"
+    out = directory / "fine.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def fine_map(tmp_path_factory):
+    return fine_sweep(tmp_path_factory.mktemp("maps"))
 
 
 class TestLinewidth:
@@ -215,6 +234,19 @@ class TestLinewidth:
     def test_frequency_outside_grid_exit_2(self, fine_map, capsys):
         assert main(["linewidth", str(fine_map), "--freq", "20.0"]) == 2
         assert "outside" in capsys.readouterr().err
+
+    def test_correction_subtracts_the_maps_cavity_linewidth(self, tmp_path, capsys):
+        # κ_tot = 0.04 GHz here, not f_cavity / Q = 0.00865 GHz
+        loss = {"cavity_internal_linewidth": 0.02, "cavity_external_linewidth": 0.02,
+                "magnon_linewidth": 0.035}
+        assert main(["linewidth", str(fine_sweep(tmp_path, loss)), "--freq", "15.6"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["magnon_corrected_ghz"] == pytest.approx(0.035, rel=1e-3)
+
+    def test_zero_cavity_linewidth_map_is_flat_exit_2(self, tmp_path, capsys):
+        loss = {"cavity_internal_linewidth": 0.0, "cavity_external_linewidth": 0.0}
+        assert main(["linewidth", str(fine_sweep(tmp_path, loss)), "--freq", "15.6"]) == 2
+        assert capsys.readouterr().err == "error: no peak: the trace is flat\n"
 
     def test_conversion_linearity_spot_check(self):
         one = ac.linewidth_field_to_freq(1e-3, 2.0)
@@ -266,6 +298,19 @@ class TestTrend:
             assert main(["trend", str(path), *flags]) == 2
             err = capsys.readouterr().err
             assert err == "error: singular design: all temperatures⁴ are equal\n"
+
+    @pytest.mark.parametrize("body", [
+        pytest.param("0.3,35\n0.5,35.0001\n0.7,35\n1.0,35.0002\n1.5,35\n", id="flat"),
+        pytest.param("1e70,35\n2e70,35.1\n3e70,35.3\n", id="overflowing-normal-matrix"),
+    ])
+    def test_unconverged_free_exponent_exit_3(self, tmp_path, capsys, body):
+        path = tmp_path / "points.csv"
+        path.write_text(body)
+        assert main(["trend", str(path), "--free-exponent"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: trend fit did not converge: ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("body, lineno", [
         pytest.param("t,y\n0.5,1.0\n0.6,oops\n", 3, id="bad-value"),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import afmcavity as ac
-from afmcavity.constants import CONSTANTS, GHZ_PER_TESLA_PER_G
+from afmcavity.constants import GHZ_PER_TESLA_PER_G
 
 # Independent scalar evaluation of the Zeeman slope from the pinned constants.
 MU_B = 9.2740100783e-24  # J/T
@@ -21,13 +21,6 @@ class TestConstants:
 
     def test_slope_six_significant_figures(self):
         assert abs(GHZ_PER_TESLA_PER_G - 13.996245) / 13.996245 < 1e-6
-
-    def test_invalid_constants_rejected(self):
-        with pytest.raises(ValueError):
-            ac.PhysicalConstants(bohr_magneton=-1.0)
-
-    def test_default_instance(self):
-        assert CONSTANTS.gyromagnetic_per_g == GHZ_PER_TESLA_PER_G
 
 
 class TestParams:
@@ -245,6 +238,13 @@ class TestModelKernels:
         assert lower == pytest.approx(np.maximum(bare, 0.0), abs=1e-9)
         assert upper == pytest.approx(spins.f_afmr0 + 2 * GAMMA_ORACLE * fields, rel=1e-9)
         assert clamped.tolist() == [False, False, bool(bare[2] < 0), True]
+
+    def test_coupled_magnon_decouples_where_clamped(self, spins):
+        fields = np.array([0.0, 1.0, 1.3, 2.0])
+        f_m, big_g, clamped = ac.core.coupled_magnon(spins.f_afmr0, spins.g_factor, 1.72, fields)
+        lower, _, zeeman_clamped = ac.core.zeeman_branches(spins.f_afmr0, spins.g_factor, fields)
+        assert np.array_equal(f_m, lower) and np.array_equal(clamped, zeeman_clamped)
+        assert big_g.tolist() == [1.72, 1.72, 0.0, 0.0]
 
 
 class TestCrossingField:

@@ -61,10 +61,6 @@ class TestS21Power:
     def test_beyond_spin_flop_rejected(self, spins, cavity, coupling, loss):
         with pytest.raises(ValueError, match="spin-flop"):
             ac.s21_power(11.0, 1.3, spins, cavity, coupling, loss)
-        value = ac.s21_power(
-            11.0, 1.3, spins, cavity, coupling, loss, allow_beyond_spin_flop=True
-        )
-        assert np.isfinite(value) and value >= 0
 
     def test_no_nan_on_random_draws(self, spins, cavity, coupling, loss):
         # dense random grid = 10^6 samples of the allowed domain
@@ -126,7 +122,7 @@ class TestKernelOracle:
                 f_m + rng.normal(0.0, gamma + 1e-6, 8),
             ])
             freqs = freqs[freqs > 0]
-            got = spectra._evaluate_s21(freqs, f_m, cavity, coupling, loss)
+            got = spectra._evaluate_s21(freqs, f_m, coupling.big_g, cavity, loss)
             ref = _reference_s21(freqs, f_m, cavity, coupling, loss)
             assert np.array_equal(got == 0, ref == 0)
             nonzero = ref != 0
@@ -137,25 +133,24 @@ class TestKernelOracle:
     def test_lossless_magnon_on_resonance(self, cavity, coupling):
         loss = ac.LossParams(0.004, 0.004, magnon_linewidth=0.0)
         f_m = 10.5
-        assert spectra._evaluate_s21([f_m], f_m, cavity, coupling, loss)[0] == 0.0
-        decoupled = ac.CouplingParams(big_g=0.0)
-        bare = spectra._evaluate_s21([f_m], f_m, cavity, decoupled, loss)[0]
+        assert spectra._evaluate_s21([f_m], f_m, coupling.big_g, cavity, loss)[0] == 0.0
+        bare = spectra._evaluate_s21([f_m], f_m, 0.0, cavity, loss)[0]
         detuning = f_m - cavity.f_cavity
         assert bare > 0
         assert bare == pytest.approx(0.004**2 / (0.004**2 + detuning**2), rel=1e-14)
 
     def test_lossless_cavity_on_resonance_is_zero(self, cavity):
         loss = ac.LossParams(0.0, 0.0, magnon_linewidth=0.035)
-        decoupled = ac.CouplingParams(big_g=0.0)
-        value = spectra._evaluate_s21([cavity.f_cavity], 30.0, cavity, decoupled, loss)[0]
+        value = spectra._evaluate_s21([cavity.f_cavity], 30.0, 0.0, cavity, loss)[0]
         assert value == 0.0
 
     def test_out_row_written_in_place(self, cavity, coupling, loss):
         freqs = np.linspace(8.0, 15.0, 101)
         out = np.full(freqs.size, np.nan)
-        result = spectra._evaluate_s21(freqs, 11.0, cavity, coupling, loss, out=out)
+        result = spectra._evaluate_s21(freqs, 11.0, coupling.big_g, cavity, loss, out=out)
         assert result is out
-        assert np.array_equal(out, spectra._evaluate_s21(freqs, 11.0, cavity, coupling, loss))
+        expected = spectra._evaluate_s21(freqs, 11.0, coupling.big_g, cavity, loss)
+        assert np.array_equal(out, expected)
 
 
 class TestTransmissionMap:
