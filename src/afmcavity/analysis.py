@@ -326,40 +326,42 @@ def fit_avoided_crossing(
 # --- field-domain linewidth -------------------------------------------------
 
 
-def _cut_arrays(cut) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(cut, VerticalCut):
-        return np.asarray(cut.fields, float), np.asarray(cut.powers, float)
-    data = np.asarray(list(cut), dtype=float)
+def _pair_columns(pairs, message: str) -> tuple[np.ndarray, np.ndarray]:
+    """The two columns of a non-empty sequence of pairs; ValueError(message) otherwise."""
+    data = np.asarray(list(pairs), dtype=float)
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] == 0:
-        raise ValueError("cut must be a sequence of (field, power) pairs")
+        raise ValueError(message)
     return data[:, 0], data[:, 1]
 
 
 def field_linewidth(cut) -> float:
     """FWHM (tesla) of a single-peaked transmission-vs-field trace.
 
-    Fits a Lorentzian with a flat baseline.  Raises :class:`FitError` naming
-    the failure mode for flat, multi-peaked or under-sampled traces.
+    Fits a Lorentzian with a flat baseline; fields must strictly increase.  Raises
+    :class:`FitError` naming the failure mode for flat, multi-peaked or under-sampled traces.
     """
-    b, p = _cut_arrays(cut)
+    if isinstance(cut, VerticalCut):
+        b, p = cut.fields, cut.powers
+    else:
+        b, p = _pair_columns(cut, "cut must be a sequence of (field, power) pairs")
     b, p = core.checked("cut field", b), core.checked("cut power", p)
+    if not np.all(b[1:] > b[:-1]):
+        raise ValueError("cut fields must be strictly increasing")
     base = float(p.min())
     peak = float(p.max())
     if peak - base <= 1e-12 * max(abs(peak), 1.0):
         raise FitError("no peak: the trace is flat")
-    half_level = base + 0.5 * (peak - base)
-    above = p > half_level
-    runs = np.flatnonzero(np.diff(np.concatenate(([0], above.view(np.int8), [0]))) == 1)
-    if runs.size > 1:
-        raise FitError(f"multiple peaks: {runs.size} disjoint regions above half maximum")
-    if int(above.sum()) < 5:
+    above = np.flatnonzero(p > base + 0.5 * (peak - base))
+    regions = 1 + int(np.count_nonzero(np.diff(above) > 1))
+    if regions > 1:
+        raise FitError(f"multiple peaks: {regions} disjoint regions above half maximum")
+    if above.size < 5:
         raise FitError(
-            f"too few points above half maximum ({int(above.sum())} < 5); "
+            f"too few points above half maximum ({above.size} < 5); "
             "refine the field grid"
         )
 
-    above_idx = np.flatnonzero(above)
-    width0 = max(b[above_idx[-1]] - b[above_idx[0]], float(np.min(np.diff(b))))
+    width0 = max(b[above[-1]] - b[above[0]], float(np.min(np.diff(b))))
     center0 = float(b[np.argmax(p)])
 
     # Nondimensionalize so the optimizer sees O(1) parameters regardless of
@@ -369,19 +371,19 @@ def field_linewidth(cut) -> float:
 
     def residual(x: np.ndarray) -> np.ndarray:
         center, width, amplitude, offset = x
-        hw = 0.5 * abs(width)
+        hw = 0.5 * width  # the model reads only hw², so the width's sign is free
         model = offset + amplitude * hw**2 / ((x_scaled - center) ** 2 + hw**2)
         return model - y_scaled
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         center, width, amplitude, offset = x
-        hw = 0.5 * abs(width)
+        hw = 0.5 * width
         dx = x_scaled - center
         den = dx**2 + hw**2
         return np.column_stack(
             [
                 amplitude * hw**2 * 2.0 * dx / den**2,
-                amplitude * hw * dx**2 / den**2 * np.sign(width),
+                amplitude * hw * dx**2 / den**2,
                 hw**2 / den,
                 np.ones_like(dx),
             ]
@@ -471,53 +473,49 @@ def fit_t4_trend(
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     if temperature_unit not in ("K", "mK"):
         raise ValueError(f"temperature_unit must be 'K' or 'mK', got {temperature_unit!r}")
-    data = np.asarray(list(points), dtype=float)
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ValueError("points must be (temperature, value) pairs")
-    t = data[:, 0] * (1e-3 if temperature_unit == "mK" else 1.0)
+    temps, values = _pair_columns(points, "points must be (temperature, value) pairs")
+    t = temps * (1e-3 if temperature_unit == "mK" else 1.0)
     min_points = 3 if exponent_free else 2
     if t.size < min_points:
         raise FitError(f"need at least {min_points} points, got {t.size}")
     t = core.checked("temperature", t, 0.0, strict=True)
-    y = core.checked("value", data[:, 1])
+    y = core.checked("value", values)
     s = 1.0 if sign == "+" else -1.0
 
     with np.errstate(over="ignore"):  # an overflow fails the check
         t4 = core.checked("temperature⁴", t**4)
+        core.checked("sum of value²", y @ y)  # no fitted residual is longer than y
     if np.ptp(t4) == 0:  # equal temperatures, or ones whose 4th powers underflow alike
         raise FitError("singular design: all temperatures⁴ are equal")
     design = np.column_stack([np.ones_like(t), s * t4])
-    (offset, coefficient), *_ = np.linalg.lstsq(design, y, rcond=None)
-    exponent = 4.0
+    solution, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < 2 and not exponent_free:  # the free fit can still move the exponent
+        raise FitError("singular design: temperatures⁴ are numerically collinear with the offset")
+    x = np.append(solution, 4.0)
+
+    def residual(x: np.ndarray) -> np.ndarray:
+        a, bb, p = x
+        return a + s * bb * t**p - y
 
     if exponent_free:
-
-        def residual(x: np.ndarray) -> np.ndarray:
-            a, bb, p = x
-            return a + s * bb * t**p - y
 
         def jacobian(x: np.ndarray) -> np.ndarray:
             _, bb, p = x
             tp = t**p
             return np.column_stack([np.ones_like(t), s * tp, s * bb * tp * np.log(t)])
 
-        result = optimize.levenberg_marquardt(
-            residual, np.array([offset, coefficient, 4.0]), jac=jacobian
-        )
+        result = optimize.levenberg_marquardt(residual, x, jac=jacobian)
         if not result.converged:
             raise ConvergenceError(f"trend fit did not converge: {result.message}")
-        offset, coefficient, exponent = result.x
-        rms = float(np.sqrt(result.cost / t.size))
-    else:
-        res = design @ np.array([offset, coefficient]) - y
-        rms = float(np.sqrt(res @ res / t.size))
+        x = result.x
+    res = residual(x)
 
     fit = TrendFit(
-        offset=float(offset),
-        coefficient=float(coefficient),
-        exponent=float(exponent),
+        offset=float(x[0]),
+        coefficient=float(x[1]),
+        exponent=float(x[2]),
         sign=sign,
-        residual_rms=rms,
+        residual_rms=float(np.sqrt(res @ res / t.size)),
         exponent_free=exponent_free,
     )
     if fit.offset <= 0:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import analysis, core, phase, spectra
 from .analysis import ConvergenceError, FitError
-from .config import ConfigError, GridSpec, RunConfig, build_section, load_config
+from .config import ConfigError, GridSpec, build_section, load_config
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -50,11 +50,13 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _map_params(tmap: spectra.TransmissionMap, cfg: RunConfig):
-    """Model parameters for an analysis run: map metadata first, config second."""
+def _map_params(args):
+    """The map of an analysis run and its model parameters: map metadata first, config second."""
+    cfg = load_config(args.config)
+    tmap = spectra.load_map(args.map)
     meta = tmap.metadata or {}
     try:
-        return tuple(
+        return (tmap,) + tuple(
             getattr(cfg, name) if meta.get(name) is None else build_section(name, meta[name])
             for name in ("spins", "cavity", "coupling", "loss")
         )
@@ -106,9 +108,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg = load_config(args.config)
-    tmap = spectra.load_map(args.map)
-    spins, cavity, coupling, loss = _map_params(tmap, cfg)
+    tmap, spins, cavity, coupling, loss = _map_params(args)
     free = tuple(name.strip() for name in args.free.split(",") if name.strip())
     window = _parse_window(args.window)
     peaks = analysis.extract_peaks(tmap, min_prominence=args.min_prominence)
@@ -133,9 +133,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_linewidth(args) -> int:
-    cfg = load_config(args.config)
-    tmap = spectra.load_map(args.map)
-    spins, cavity, coupling, loss = _map_params(tmap, cfg)
+    tmap, spins, cavity, coupling, loss = _map_params(args)
     cut = spectra.vertical_cut(tmap, args.freq)
     gamma_t = analysis.field_linewidth(cut)
     gamma_f = analysis.linewidth_field_to_freq(gamma_t, spins.g_factor)

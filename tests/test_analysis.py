@@ -497,6 +497,22 @@ class TestFieldLinewidth:
         p = 0.3 + 2.0 * (width / 2) ** 2 / ((b - 0.68) ** 2 + (width / 2) ** 2)
         assert ac.field_linewidth(list(zip(b, p))) == pytest.approx(width, rel=0.01)
 
+    def test_fields_out_of_order_rejected(self):
+        # unchecked, descending fields fit a negative width and shuffled ones read as many peaks
+        b = np.linspace(0.60, 0.76, 2001)
+        width = 1.25e-3
+        p = 0.3 + 2.0 * (width / 2) ** 2 / ((b - 0.68) ** 2 + (width / 2) ** 2)
+        shuffled = np.random.default_rng(0).permutation(b.size)
+        cuts = [
+            list(zip(b[::-1], p[::-1])),
+            list(zip(b[shuffled], p[shuffled])),
+            ac.VerticalCut(frequency=15.6, fields=b[::-1], powers=p[::-1]),
+            list(zip(np.repeat(b, 2), np.repeat(p, 2))),  # each field twice
+        ]
+        for cut in cuts:
+            with pytest.raises(ValueError, match="^cut fields must be strictly increasing$"):
+                ac.field_linewidth(cut)
+
     def test_flat_trace_rejected(self):
         b = np.linspace(0, 1, 100)
         with pytest.raises(analysis.FitError, match="flat"):

@@ -7,7 +7,7 @@ import math
 import re
 import tempfile
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +176,14 @@ class TestFit:
         assert code == 2
         assert "peaks" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window, message", [
+        ("1:2:3", "window must be LO:HI in tesla, got '1:2:3'"),
+        ("a:b", "window must be numeric LO:HI, got 'a:b'"),
+    ])
+    def test_malformed_window_exit_2(self, sweep_map, capsys, window, message):
+        assert main(["fit", str(sweep_map), "--window", window]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_map_exit_2(self, capsys):
         assert main(["fit", "/nonexistent/map.csv"]) == 2
 
@@ -248,6 +256,23 @@ class TestLinewidth:
         assert main(["linewidth", str(fine_sweep(tmp_path, loss)), "--freq", "15.6"]) == 2
         assert capsys.readouterr().err == "error: no peak: the trace is flat\n"
 
+    def test_unconverged_fit_exit_3(self, fine_map, monkeypatch, capsys):
+        from afmcavity import analysis as analysis_module
+
+        original = analysis_module.optimize.levenberg_marquardt
+
+        def stalled(*args, **kwargs):
+            return replace(original(*args, **kwargs), converged=False,
+                           message="maximum iterations reached")
+
+        monkeypatch.setattr(analysis_module.optimize, "levenberg_marquardt", stalled)
+        assert main(["linewidth", str(fine_map), "--freq", "15.6"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: linewidth fit did not converge: maximum iterations reached\n"
+        )
+
     def test_conversion_linearity_spot_check(self):
         one = ac.linewidth_field_to_freq(1e-3, 2.0)
         three = ac.linewidth_field_to_freq(3e-3, 2.0)
@@ -298,6 +323,30 @@ class TestTrend:
             assert main(["trend", str(path), *flags]) == 2
             err = capsys.readouterr().err
             assert err == "error: singular design: all temperatures⁴ are equal\n"
+
+    @pytest.mark.parametrize("body", [
+        # T⁴ near 1e280 beside the ones column: lstsq drops the offset
+        pytest.param("1e70,35\n2e70,35.1\n3e70,35.3\n", id="huge-temperatures"),
+        # T⁴ near 1e-40 beside the ones column: lstsq drops the T⁴ term
+        pytest.param("1e-10,35\n2e-10,35.1\n3e-10,35.3\n", id="tiny-temperatures"),
+    ])
+    def test_rank_deficient_fixed_exponent_exit_2(self, tmp_path, capsys, body):
+        path = tmp_path / "points.csv"
+        path.write_text(body)
+        assert main(["trend", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: singular design: temperatures⁴ are numerically collinear with the offset\n"
+        )
+
+    def test_overflowing_sum_of_squares_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "points.csv"
+        path.write_text("0.5,1e200\n1.0,3e200\n1.5,2e200\n")  # y @ y overflows
+        for flags in ([], ["--free-exponent"]):
+            capsys.readouterr()
+            assert main(["trend", str(path), *flags]) == 2
+            assert capsys.readouterr().err == "error: sum of value² must be finite, got inf\n"
 
     @pytest.mark.parametrize("body", [
         pytest.param("0.3,35\n0.5,35.0001\n0.7,35\n1.0,35.0002\n1.5,35\n", id="flat"),
@@ -621,6 +670,28 @@ CONFIGS = _mostly(
 )
 NON_FINITE = re.compile(r"(?i)\b(nan|inf|infinity)\b")
 
+# A points-file cell: mostly a positive number, half of them from 1e-300 to
+# 1e300 and half near 1; else a negative number, 0 or a special (printed by
+# repr: "nan", "inf", "-inf"), short text (possibly empty), or a literal that
+# overflows to infinity when parsed.
+CELLS = st.integers(0, 9).flatmap(lambda k: (
+    st.one_of(st.text("0123456789.e+-x, ", max_size=4), st.just("1e999")),
+    st.sampled_from([0.0, math.nan, math.inf, -math.inf]).map(repr),
+    POSITIVE.map(lambda x: repr(-x)),
+)[k] if k < 3 else st.one_of(POSITIVE, st.floats(0.001, 100.0)).map(repr))
+POINTS = st.lists(st.tuples(CELLS, CELLS).map(",".join), max_size=8)
+TREND_FLAGS = st.sampled_from([[], ["--free-exponent"], ["--sign", "-"], ["--t-unit", "mK"]])
+
+
+def _main_quietly(argv):
+    """The exit code and stderr of ``main(argv)``, with every warning an error."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, stderr.getvalue()
+
 
 class TestFuzz:
     @given(command=st.sampled_from(["dispersion", "sweep", "phase-map"]), raw=CONFIGS)
@@ -629,12 +700,7 @@ class TestFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             cfg, out = Path(tmp) / "run.json", Path(tmp) / "out.csv"
             cfg.write_text(json.dumps(raw))
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
-                    contextlib.redirect_stderr(stderr):
-                warnings.simplefilter("error")
-                code = main([command, "--config", str(cfg), "--out", str(out)])
-            err = stderr.getvalue()
+            code, err = _main_quietly([command, "--config", str(cfg), "--out", str(out)])
             assert code in (0, 2), err
             if code == 2:
                 assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
@@ -643,3 +709,17 @@ class TestFuzz:
             outputs = [out, out.with_suffix(".json")] if command == "sweep" else [out]
             for path in outputs:
                 assert not NON_FINITE.search(path.read_text()), path.read_text()[:300]
+
+    @given(rows=POINTS, flags=TREND_FLAGS)
+    @settings(max_examples=200, deadline=None)
+    def test_random_points_exit_0_2_or_3(self, rows, flags):
+        with tempfile.TemporaryDirectory() as tmp:
+            points, out = Path(tmp) / "points.csv", Path(tmp) / "trend.json"
+            points.write_text("".join(row + "\n" for row in rows))
+            code, err = _main_quietly(["trend", str(points), "--out", str(out), *flags])
+            assert code in (0, 2, 3), err
+            if code:
+                assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+                return
+            assert err == ""
+            assert not NON_FINITE.search(out.read_text()), out.read_text()
