@@ -2,8 +2,7 @@
 
 The forward model lives in :mod:`afmcavity.core`; everything here recovers its
 parameters from transmission data.  Fits run on the damped least-squares
-solver in :mod:`afmcavity.optimize` with analytic Jacobians where the model
-has one.
+solver in :mod:`afmcavity.optimize` with analytic Jacobians.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 from . import core, optimize
 from .constants import GHZ_PER_TESLA_PER_G
 from .core import CavityParams, CouplingParams, SpinSystemParams
-from .spectra import TransmissionMap, VerticalCut, write_csv, write_json
+from .spectra import TransmissionMap, write_csv, write_json
 
 PARAMETER_ORDER = ("big_g", "f_afmr0", "g_factor", "f_cavity")
 
@@ -38,7 +37,6 @@ class ColumnPeaks:
     field: float  # tesla
     positions: tuple[float, ...]  # GHz
     heights: tuple[float, ...]
-    uncertainties: tuple[float, ...]  # GHz
 
 
 @dataclass(frozen=True)
@@ -58,10 +56,6 @@ class PeakSet:
                     raise ValueError(
                         f"peak at {p} GHz outside the map frequency range [{lo}, {hi}]"
                     )
-
-    def observations(self) -> list[tuple[float, float]]:
-        """Flatten to (field, peak frequency) pairs."""
-        return [(c.field, p) for c in self.columns for p in c.positions]
 
     def to_csv(self) -> str:
         rows = [(c.field, p, h) for c in self.columns for p, h in zip(c.positions, c.heights)]
@@ -128,9 +122,8 @@ def extract_peaks(tmap: TransmissionMap, min_prominence: float = 0.1) -> PeakSet
 
     A sample qualifies if its topographic prominence reaches
     ``min_prominence`` times the column maximum; the two most prominent are
-    kept and refined by three-point quadratic interpolation.  Position
-    uncertainty is resolution-limited at half the local grid step.  Columns
-    without qualifying peaks stay in the set with empty tuples.
+    kept and refined by three-point quadratic interpolation.  Columns without
+    qualifying peaks stay in the set with empty tuples.
     """
     if not 0.0 < min_prominence < 1.0:
         raise ValueError(f"min_prominence must lie in (0, 1), got {min_prominence!r}")
@@ -147,20 +140,10 @@ def extract_peaks(tmap: TransmissionMap, min_prominence: float = 0.1) -> PeakSet
             proms = _prominences(y, maxima)
             best = np.argsort(-proms, kind="stable")[:2]  # ties go to the lower index
             picks = sorted(maxima[best[proms[best] >= threshold]].tolist())
-        positions, heights, uncertainties = [], [], []
-        for j in picks:
-            pos, height = _parabolic_vertex(freqs, y, j)
-            positions.append(pos)
-            heights.append(height)
-            uncertainties.append(float(0.5 * (freqs[j + 1] - freqs[j - 1]) / 2.0))
-        columns.append(
-            ColumnPeaks(
-                field=float(b),
-                positions=tuple(positions),
-                heights=tuple(heights),
-                uncertainties=tuple(uncertainties),
-            )
-        )
+        refined = [_parabolic_vertex(freqs, y, j) for j in picks]
+        positions = tuple(pos for pos, _ in refined)
+        heights = tuple(height for _, height in refined)
+        columns.append(ColumnPeaks(field=float(b), positions=positions, heights=heights))
     return PeakSet(
         columns=tuple(columns),
         freq_range=(float(freqs[0]), float(freqs[-1])),
@@ -340,10 +323,7 @@ def field_linewidth(cut) -> float:
     Fits a Lorentzian with a flat baseline; fields must strictly increase.  Raises
     :class:`FitError` naming the failure mode for flat, multi-peaked or under-sampled traces.
     """
-    if isinstance(cut, VerticalCut):
-        b, p = cut.fields, cut.powers
-    else:
-        b, p = _pair_columns(cut, "cut must be a sequence of (field, power) pairs")
+    b, p = _pair_columns(cut, "cut must be a sequence of (field, power) pairs")
     b, p = core.checked("cut field", b), core.checked("cut power", p)
     if not np.all(b[1:] > b[:-1]):
         raise ValueError("cut fields must be strictly increasing")

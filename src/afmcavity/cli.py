@@ -12,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, core, phase, spectra
-from .analysis import ConvergenceError, FitError
+from .analysis import ConvergenceError
 from .config import ConfigError, GridSpec, build_section, load_config
 
 EXIT_OK = 0
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (ConfigError, FitError, ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

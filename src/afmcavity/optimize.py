@@ -30,48 +30,25 @@ class LMResult:
     message: str
 
 
-def numerical_jacobian(
-    fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray, rel_step: float = 1e-6
-) -> np.ndarray:
-    """Central-difference Jacobian of a residual vector.
-
-    Steps are relative to each parameter with a floor of ``rel_step`` so that
-    zero-valued parameters still get a finite perturbation.
-    """
-    x = np.asarray(x, dtype=float)
-    r0 = np.asarray(fun(x), dtype=float)
-    jac = np.empty((r0.size, x.size))
-    for i in range(x.size):
-        h = rel_step * max(abs(x[i]), 1.0)
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        jac[:, i] = (np.asarray(fun(xp)) - np.asarray(fun(xm))) / (2.0 * h)
-    return jac
-
-
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing JᵀJ or trial fails the cost test
 def levenberg_marquardt(
     fun: Callable[[np.ndarray], np.ndarray],
     x0,
-    jac: Callable[[np.ndarray], np.ndarray] | None = None,
+    jac: Callable[[np.ndarray], np.ndarray],
     max_iterations: int = MAX_ITERATIONS,
 ) -> LMResult:
     """Minimize sum(fun(x)**2) starting from x0.
 
-    ``fun`` maps parameters to a residual vector; ``jac`` to its Jacobian
-    (central differences are used when omitted).  ``converged`` is set only
-    when the gradient criterion is met, so a True flag certifies a stationary
-    point to ``GRADIENT_TOL``.
+    ``fun`` maps parameters to a residual vector; ``jac`` to its Jacobian.
+    ``converged`` is set only when the gradient criterion is met, so a True
+    flag certifies a stationary point to ``GRADIENT_TOL``.
     """
     x = np.array(x0, dtype=float).ravel()
     r = np.asarray(fun(x), dtype=float)
     if r.ndim != 1:
         raise ValueError("residual function must return a 1-D vector")
     cost = float(r @ r)
-    jac_fn = jac if jac is not None else (lambda p: numerical_jacobian(fun, p))
-    jmat = np.atleast_2d(np.asarray(jac_fn(x), dtype=float))
+    jmat = np.atleast_2d(np.asarray(jac(x), dtype=float))
     lam = 1e-3
     message = ""
 
@@ -102,7 +79,7 @@ def levenberg_marquardt(
         x = x + step
         r = r_new
         cost = cost_new
-        jmat = np.atleast_2d(np.asarray(jac_fn(x), dtype=float))
+        jmat = np.atleast_2d(np.asarray(jac(x), dtype=float))
         lam = max(lam / 9.0, 1e-14)
         if np.linalg.norm(step) <= STEP_TOL * (np.linalg.norm(x) + STEP_TOL):
             message = "parameter step below tolerance"

@@ -1,3 +1,5 @@
+from typing import Callable
+
 import numpy as np
 import pytest
 
@@ -43,3 +45,24 @@ def map_field_step(tmap) -> float:
 
 def map_freq_step(tmap) -> float:
     return float(np.min(np.diff(tmap.freq_axis)))
+
+
+def numerical_jacobian(
+    fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray, rel_step: float = 1e-6
+) -> np.ndarray:
+    """Central-difference Jacobian of a residual vector: the oracle for analytic ones.
+
+    Steps are relative to each parameter with a floor of ``rel_step`` so that
+    zero-valued parameters still get a finite perturbation.
+    """
+    x = np.asarray(x, dtype=float)
+    r0 = np.asarray(fun(x), dtype=float)
+    jac = np.empty((r0.size, x.size))
+    for i in range(x.size):
+        h = rel_step * max(abs(x[i]), 1.0)
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h
+        xm[i] -= h
+        jac[:, i] = (np.asarray(fun(xp)) - np.asarray(fun(xm))) / (2.0 * h)
+    return jac

@@ -11,7 +11,7 @@ import afmcavity as ac
 from afmcavity import analysis, optimize
 from afmcavity.analysis import _make_objective
 from afmcavity.constants import GHZ_PER_TESLA_PER_G
-from conftest import map_freq_step
+from conftest import map_freq_step, numerical_jacobian
 
 
 def lorentzian_map(f_center, freq_axis, n_fields=1):
@@ -157,9 +157,6 @@ def reference_extract_peaks(tmap, min_prominence):
                 field=float(b),
                 positions=tuple(pos for pos, _ in refined),
                 heights=tuple(height for _, height in refined),
-                uncertainties=tuple(
-                    float(0.5 * (freqs[j + 1] - freqs[j - 1]) / 2.0) for j in picks
-                ),
             )
         )
     return analysis.PeakSet(tuple(columns), (float(freqs[0]), float(freqs[-1])))
@@ -281,7 +278,6 @@ class TestFitAvoidedCrossing:
                     field=float(b),
                     positions=(pair.lower, pair.upper),
                     heights=(1.0, 1.0),
-                    uncertainties=(0.001, 0.001),
                 )
             )
         peaks = analysis.PeakSet(columns=tuple(columns), freq_range=(0.0, 60.0))
@@ -361,7 +357,7 @@ class TestFitAvoidedCrossing:
                 "none": (),
             }[kind]
             n = len(positions)
-            columns.append(analysis.ColumnPeaks(b, positions, (1.0,) * n, (0.001,) * n))
+            columns.append(analysis.ColumnPeaks(b, positions, (1.0,) * n))
         return analysis.PeakSet(columns=tuple(columns), freq_range=(0.0, 60.0))
 
     def test_two_columns_with_peaks_rejected(self, spins, cavity):
@@ -415,11 +411,12 @@ class TestFitAvoidedCrossing:
             default_peaks, spins, cavity, free=("big_g",), window=window
         )
         lo, hi = report.window
-        in_window = [b for b, _ in default_peaks.observations() if lo <= b <= hi]
+        observations = [(c.field, p) for c in default_peaks.columns for p in c.positions]
+        in_window = [b for b, _ in observations if lo <= b <= hi]
         assert report.converged
         assert report.message == "gradient below tolerance"
         assert report.n_observations == len(in_window)
-        assert 0 < report.n_observations <= len(default_peaks.observations())
+        assert 0 < report.n_observations <= len(observations)
         payload = report.to_json_dict()
         assert payload["message"] == report.message
         assert payload["n_observations"] == report.n_observations
@@ -441,7 +438,7 @@ class TestFitJacobian:
             residual, jacobian = _make_objective(b_arr, p_arr, baseline, names)
             x = np.array([baseline[n] for n in names])
             analytic = jacobian(x)
-            numeric = optimize.numerical_jacobian(residual, x, rel_step=1e-6)
+            numeric = numerical_jacobian(residual, x, rel_step=1e-6)
             scale = np.max(np.abs(analytic)) + 1.0
             assert np.max(np.abs(analytic - numeric)) / scale < 1e-5
 

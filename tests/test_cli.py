@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import afmcavity as ac
-from afmcavity import config
+from afmcavity import config, spectra
 from afmcavity.cli import main
 
 
@@ -476,6 +476,13 @@ class TestExitCodes:
                                  "field_grid": {"start": 0.0, "stop": 0.1, "step": 0.05},
                                  "freq_grid": {"start": 8.0, "stop": 9.0, "step": 0.5}},
                      "values must be finite and >= 0, got inf", id="noise-factor"),
+        # 1e15 samples: numpy refuses the allocation at once, so nothing is allocated
+        pytest.param(["sweep"], {"field_grid": {"start": 0.0, "stop": 1.0, "step": 1e-15}},
+                     "Unable to allocate", id="grid-too-large"),
+        pytest.param(["dispersion", "--b-step", "1e-15"], {}, "Unable to allocate",
+                     id="b-step-too-large"),
+        pytest.param(["phase-map", "--t-step", "1e-15"], {}, "Unable to allocate",
+                     id="t-step-too-large"),
     ])
     def test_overflowing_derived_quantity_exit_2(self, tmp_path, capsys, argv, raw, expected):
         cfg = tmp_path / "run.json"
@@ -681,6 +688,14 @@ CELLS = st.integers(0, 9).flatmap(lambda k: (
 )[k] if k < 3 else st.one_of(POSITIVE, st.floats(0.001, 100.0)).map(repr))
 POINTS = st.lists(st.tuples(CELLS, CELLS).map(",".join), max_size=8)
 TREND_FLAGS = st.sampled_from([[], ["--free-exponent"], ["--sign", "-"], ["--t-unit", "mK"]])
+# A map sidecar: the model sections that `fit` and `linewidth` read, each optional.
+SIDECARS = _mostly(
+    st.fixed_dictionaries({}, optional={
+        name: _section([f.name for f in fields(config._SECTION_TYPES[name])])
+        for name in ("spins", "cavity", "coupling", "loss")
+    }),
+    st.one_of(JUNK, UNKNOWN_KEY),
+)
 
 
 def _main_quietly(argv):
@@ -691,6 +706,26 @@ def _main_quietly(argv):
         warnings.simplefilter("error")
         code = main(argv)
     return code, stderr.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_maps(tmp_path_factory):
+    """Two small noiseless maps: one across the avoided crossing for `fit`, and one
+    with a field step fine enough for `linewidth` at 15.6 GHz."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    grids = {
+        "crossing": {"field_grid": {"start": 0.0, "stop": 1.1, "step": 0.02},
+                     "freq_grid": {"start": 8.0, "stop": 15.0, "step": 0.02}},
+        "line": {"field_grid": {"start": 0.64, "stop": 0.72, "step": 0.0002},
+                 "freq_grid": {"start": 15.5, "stop": 15.7, "step": 0.02}},
+    }
+    maps = []
+    for name, raw in grids.items():
+        cfg, out = directory / f"{name}-run.json", directory / f"{name}.csv"
+        cfg.write_text(json.dumps(raw))
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        maps.append(out)
+    return maps
 
 
 class TestFuzz:
@@ -723,3 +758,24 @@ class TestFuzz:
                 return
             assert err == ""
             assert not NON_FINITE.search(out.read_text()), out.read_text()
+
+    @given(sidecar=SIDECARS)
+    @settings(max_examples=200, deadline=None)
+    def test_random_map_sidecar_exits_0_2_or_3(self, fuzz_maps, sidecar):
+        crossing, line = fuzz_maps
+        for csv in fuzz_maps:
+            spectra.sidecar_path(csv).write_text(json.dumps(sidecar))
+        with tempfile.TemporaryDirectory() as tmp:
+            for argv in (["fit", str(crossing)], ["linewidth", str(line), "--freq", "15.6"]):
+                out = Path(tmp) / f"{argv[0]}.json"
+                code, err = _main_quietly([*argv, "--out", str(out)])
+                assert code in (0, 2, 3), err
+                if code == 2 or (code == 3 and argv[0] == "linewidth"):
+                    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+                    continue
+                assert err == "", err
+                report = out.read_text()
+                if code == 0:
+                    assert not NON_FINITE.search(report), report
+                else:  # fit's exit 3 still writes its report
+                    assert json.loads(report)["converged"] is False

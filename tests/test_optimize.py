@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from afmcavity import optimize
+from conftest import numerical_jacobian
 
 
 def test_linear_problem_exact():
     # residual (x0 - 3, x1 + 2) has the unique zero (3, -2)
     fun = lambda x: np.array([x[0] - 3.0, x[1] + 2.0])
-    result = optimize.levenberg_marquardt(fun, [0.0, 0.0])
+    result = optimize.levenberg_marquardt(
+        fun, [0.0, 0.0], jac=lambda p: numerical_jacobian(fun, p)
+    )
     assert result.converged
     assert result.x == pytest.approx([3.0, -2.0], abs=1e-9)
     assert result.gradient_norm < optimize.GRADIENT_TOL
@@ -17,7 +20,9 @@ def test_linear_problem_exact():
 
 def test_rosenbrock_style_valley():
     fun = lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
-    result = optimize.levenberg_marquardt(fun, [-1.2, 1.0])
+    result = optimize.levenberg_marquardt(
+        fun, [-1.2, 1.0], jac=lambda p: numerical_jacobian(fun, p)
+    )
     assert result.converged
     assert result.x == pytest.approx([1.0, 1.0], abs=1e-6)
 
@@ -28,14 +33,18 @@ def test_overdetermined_exponential_fit():
     y = 2.5 * np.exp(-1.3 * t)
 
     fun = lambda x: x[0] * np.exp(x[1] * t) - y
-    result = optimize.levenberg_marquardt(fun, [1.0, -0.5])
+    result = optimize.levenberg_marquardt(
+        fun, [1.0, -0.5], jac=lambda p: numerical_jacobian(fun, p)
+    )
     assert result.converged
     assert result.x == pytest.approx([2.5, -1.3], rel=1e-8)
     assert result.cost < 1e-18
 
     noisy = y + 0.01 * rng.standard_normal(t.size)
     fun_n = lambda x: x[0] * np.exp(x[1] * t) - noisy
-    result_n = optimize.levenberg_marquardt(fun_n, [1.0, -0.5])
+    result_n = optimize.levenberg_marquardt(
+        fun_n, [1.0, -0.5], jac=lambda p: numerical_jacobian(fun_n, p)
+    )
     assert result_n.converged
     assert result_n.x == pytest.approx([2.5, -1.3], rel=0.05)
 
@@ -61,14 +70,16 @@ def test_numerical_jacobian_matches_analytic():
         return np.column_stack([e, x[0] * t * e, np.ones_like(t)])
 
     x = np.array([1.7, -0.8, 0.3])
-    numeric = optimize.numerical_jacobian(fun, x)
+    numeric = numerical_jacobian(fun, x)
     analytic = jac(x)
     assert np.allclose(numeric, analytic, rtol=1e-7, atol=1e-9)
 
 
 def test_iteration_cap_reported():
     fun = lambda x: np.array([np.tanh(x[0]) - 0.999999])
-    result = optimize.levenberg_marquardt(fun, [0.0], max_iterations=2)
+    result = optimize.levenberg_marquardt(
+        fun, [0.0], jac=lambda p: numerical_jacobian(fun, p), max_iterations=2
+    )
     assert result.iterations <= 2
     if not result.converged:
         assert result.gradient_norm >= optimize.GRADIENT_TOL
@@ -81,7 +92,9 @@ def test_converged_implies_gradient_below_tolerance():
         a, b = rng.uniform(0.5, 3.0), rng.uniform(-2.0, -0.2)
         y = a * np.exp(b * t) + 0.01 * rng.standard_normal(t.size)
         fun = lambda x: x[0] * np.exp(x[1] * t) - y
-        result = optimize.levenberg_marquardt(fun, [1.0, -1.0])
+        result = optimize.levenberg_marquardt(
+            fun, [1.0, -1.0], jac=lambda p: numerical_jacobian(fun, p)
+        )
         if result.converged:
             assert result.gradient_norm < optimize.GRADIENT_TOL
 
@@ -108,8 +121,8 @@ def _rosenbrock(x):
 
 
 # (residual, x0, jac, max_iterations) -> (message, iterations, converged, gradient_norm);
-# the cases call no transcendental function, so the pinned figures are plain IEEE
-# arithmetic
+# jac None stands for the central-difference oracle.  The cases call no transcendental
+# function, so the pinned figures are plain IEEE arithmetic
 STOP_CASES = {
     "gradient": (
         (lambda x: np.array([x[0] - 3.0, x[1] + 2.0]), [0.0, 0.0], None, 200),
@@ -154,6 +167,7 @@ STOP_CASES = {
 @pytest.mark.parametrize("case", STOP_CASES.values(), ids=STOP_CASES.keys())
 def test_stop_reasons_pinned(case):
     (fun, x0, jac, max_iterations), (message, iterations, converged, gradient_norm) = case
+    jac = jac or (lambda p: numerical_jacobian(fun, p))
     result = optimize.levenberg_marquardt(fun, x0, jac=jac, max_iterations=max_iterations)
     assert result.message == message
     assert result.iterations == iterations

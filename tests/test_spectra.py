@@ -270,6 +270,7 @@ class TestSynthesizeMap:
 def _lorentzian_fwhm_ghz(freqs, power):
     """FWHM oracle via the frequency-domain Lorentzian fit of one column."""
     from afmcavity import optimize
+    from conftest import numerical_jacobian
 
     base, peak = float(power.min()), float(power.max())
     center0 = float(freqs[np.argmax(power)])
@@ -280,7 +281,11 @@ def _lorentzian_fwhm_ghz(freqs, power):
         hw = 0.5 * abs(w)
         return (o + a * hw**2 / ((freqs - c) ** 2 + hw**2) - power) / scale
 
-    result = optimize.levenberg_marquardt(residual, np.array([center0, 0.01, scale, base]))
+    result = optimize.levenberg_marquardt(
+        residual,
+        np.array([center0, 0.01, scale, base]),
+        jac=lambda p: numerical_jacobian(residual, p),
+    )
     assert result.converged or result.gradient_norm < 1e-6
     return abs(float(result.x[1]))
 
