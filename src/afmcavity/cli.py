@@ -192,8 +192,7 @@ def cmd_phase_map(args) -> int:
         _emit(spectra.write_json(payload), args.out)
     else:
         header = [f"# {note}", "field_T,temperature_K,phase"]
-        cells = [label for row in labels for label in row]
-        _emit(spectra.write_csv(header, [cells], grid=(fields, temps)), args.out)
+        _emit(spectra.write_csv(header, [labels], grid=(fields, temps)), args.out)
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, pairwise, repeat
 from pathlib import Path
 
 import numpy as np
@@ -261,20 +261,31 @@ CSV_HEADER = "# field_T,freq_GHz,s21_linear"
 CSV_HEADER_DB = "# field_T,freq_GHz,s21_db"
 
 
+def _rows_text(rows) -> str:
+    """The comma-joined ``rows`` of strings, each followed by a newline."""
+    return "\n".join([*map(",".join, rows), ""])
+
+
 def write_csv(header, columns, grid=()) -> str:
     """CSV text: the ``header`` lines verbatim, then the columns' comma-joined rows.
 
     Columns hold Python floats, ints or strings; a float is written as its
     repr (``str`` of a Python float), so a read-back reproduces it bit for
     bit.  ``grid=(outer, inner)`` leads each row with its coordinates,
-    outer-major; each axis value is formatted once, not once per row.
+    outer-major; each axis value is formatted once, and each column holds one
+    row of cells per outer value.  Rows are joined a block at a time (one
+    outer value, else 4096 rows), never as a list of every row.
     """
-    keys = []
+    blocks = ["\n".join([*header, ""])]
     if grid:
         outer, inner = ([str(v) for v in axis] for axis in grid)
-        keys = [[o for o in outer for _ in inner], inner * len(outer)]
-    rows = map(",".join, zip(*keys, *[map(str, c) for c in columns]))
-    return "\n".join([*header, *rows]) + "\n"
+        for key, *cells in zip(outer, *columns):
+            blocks.append(_rows_text(zip(repeat(key), inner, *[map(str, c) for c in cells])))
+    else:
+        rows = zip(*[map(str, c) for c in columns])
+        while block := _rows_text(islice(rows, 4096)):
+            blocks.append(block)
+    return "".join(blocks)
 
 
 def write_json(obj) -> str:
@@ -282,23 +293,37 @@ def write_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _data_rows(lines: list[str], start: int):
+_WINDOW = 1 << 20  # characters of text split into lines at a time
+
+
+def _text_lines(text: str):
+    """The lines of ``text.splitlines()``, split one window of about a MiB at a time.
+
+    A window ends just after a newline, so no line break is cut in two.
+    """
+    cuts = [0]
+    while cuts[-1] < len(text):  # a find of -1 (no newline left) makes the rest one window
+        cuts.append(text.find("\n", cuts[-1] + _WINDOW) + 1 or len(text))
+    return chain.from_iterable(text[a:b].splitlines() for a, b in pairwise(cuts))
+
+
+def _data_rows(lines, start: int):
     """(file line number, line) of each line that is neither blank nor a ``#`` comment."""
     return ((n, line) for n, line in enumerate(lines, start) if line.lstrip()[:1] not in ("", "#"))
 
 
-def read_csv(lines: list[str], ncols: int, start: int) -> np.ndarray:
+def read_csv(lines, ncols: int, start: int) -> np.ndarray:
     """Parse rows of ``ncols`` comma-separated floats into an (n, ncols) array.
 
-    ``lines`` are a file's lines from line number ``start`` on; blank and
-    ``#`` lines are skipped.  A malformed row raises ValueError naming its
-    file line.
+    ``lines`` is any iterable of a file's lines from line number ``start`` on;
+    blank and ``#`` lines are skipped.  A malformed row raises ValueError
+    naming its file line.
     """
-    at = [start]  # file line number of the row loadtxt read last
+    last = [start, ""]  # file line number and text of the row loadtxt read last
 
     def data_lines():
-        for at[0], line in _data_rows(lines, start):
-            yield line
+        for last[0], last[1] in _data_rows(lines, start):
+            yield last[1]
 
     rows = data_lines()
     first = next(rows, None)
@@ -309,8 +334,7 @@ def read_csv(lines: list[str], ncols: int, start: int) -> np.ndarray:
             return np.loadtxt(chain([first], rows), delimiter=",", comments=None, ndmin=2)
         except ValueError:
             pass
-    bad = lines[at[0] - start]
-    raise ValueError(f"line {at[0]}: expected {ncols} comma-separated numbers, got {bad!r}")
+    raise ValueError(f"line {last[0]}: expected {ncols} comma-separated numbers, got {last[1]!r}")
 
 
 def map_to_csv(tmap: TransmissionMap, db: bool = False) -> str:
@@ -325,21 +349,22 @@ def map_to_csv(tmap: TransmissionMap, db: bool = False) -> str:
         with np.errstate(divide="ignore"):
             values = 10.0 * np.log10(values)
     grid = (tmap.field_axis.tolist(), tmap.freq_axis.tolist())
-    return write_csv([CSV_HEADER_DB if db else CSV_HEADER], [values.ravel().tolist()], grid)
+    return write_csv([CSV_HEADER_DB if db else CSV_HEADER], [map(np.ndarray.tolist, values)], grid)
 
 
 def map_from_csv(text: str) -> TransmissionMap:
     """Rebuild a map from ``map_to_csv`` output (linear format only).
 
-    Raises ValueError naming the offending line on malformed input.
+    Raises ValueError naming the offending line, found by a second walk, on malformed input.
     """
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != CSV_HEADER:
+    lines = _text_lines(text)
+    if next(lines, "").strip() != CSV_HEADER:
         raise ValueError(f"line 1: expected header {CSV_HEADER!r}")
-    data = read_csv(lines[1:], 3, start=2)
+    data = read_csv(lines, 3, start=2)
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1) | (data[:, 2] < 0))
     if bad.size:
-        lineno, line = next(islice(_data_rows(lines[1:], 2), int(bad[0]), None))
+        rows = _data_rows(islice(_text_lines(text), 1, None), 2)
+        lineno, line = next(islice(rows, int(bad[0]), None))
         raise ValueError(
             f"line {lineno}: expected finite numbers and a transmission >= 0, got {line!r}"
         )
@@ -350,8 +375,8 @@ def map_from_csv(text: str) -> TransmissionMap:
     values.flags.writeable = False  # handed over without a copy
     if data.shape[0] != values.size or np.any(np.isnan(values)):
         raise ValueError(
-            f"line {len(lines)}: {data.shape[0]} rows do not form a complete "
-            f"{field_axis.size} x {freq_axis.size} grid without duplicates"
+            f"line {sum(1 for _ in _text_lines(text))}: {data.shape[0]} rows do not form a "
+            f"complete {field_axis.size} x {freq_axis.size} grid without duplicates"
         )
     return TransmissionMap(field_axis, freq_axis, values)
 

@@ -728,6 +728,70 @@ def fuzz_maps(tmp_path_factory):
     return maps
 
 
+@pytest.fixture(scope="module")
+def fuzz_csv(tmp_path_factory):
+    """Per command, the lines of a small noiseless map written by ``map_to_csv``, the path
+    its mutants are written to, and the exit code, stderr and report of the clean map there."""
+    directory = tmp_path_factory.mktemp("csv-fuzz")
+    params = (ac.SpinSystemParams(), ac.CavityParams(), ac.CouplingParams(big_g=1.72),
+              ac.LossParams.from_cavity(ac.CavityParams(), 0.035))
+    grids = {
+        "fit": ((0.0, 1.1, 0.025), (8.0, 15.0, 0.1), []),  # exits 0
+        "linewidth": ((0.66, 0.70, 0.0002), (15.5, 15.7, 0.05), ["--freq", "15.6"]),  # exits 3
+    }
+    cases = {}
+    for command, (field_grid, freq_grid, flags) in grids.items():
+        axes = [ac.GridSpec(*grid).samples() for grid in (field_grid, freq_grid)]
+        text = ac.map_to_csv(ac.synthesize_map(*axes, *params))
+        path, out = directory / f"{command}.csv", directory / f"{command}.json"
+        argv = [command, str(path), *flags, "--out", str(out)]
+        path.write_text(text)
+        clean = _run_reading(argv, out)
+        cases[command] = text.splitlines(), path, argv, out, clean
+    return cases
+
+
+def _run_reading(argv, out):
+    """``_main_quietly(argv)`` plus the report it wrote to ``out`` (None if none)."""
+    out.unlink(missing_ok=True)
+    code, err = _main_quietly(argv)
+    return code, err, out.read_text() if out.exists() else None
+
+
+def _mutate_map_lines(lines, data):
+    """One drawn mutation of a map CSV's lines (header first): the new text, and the file
+    line its read must fail on, or None where the map the text holds is unchanged."""
+    lines, last = list(lines), len(lines)
+    k = data.draw(st.integers(1, last - 1), label="data row")  # file line k + 1
+    kind = data.draw(st.sampled_from(
+        ["cell", "drop-field", "add-field", "insert", "duplicate", "delete", "crlf"]), label="kind")
+    bad = k + 1
+    if kind == "cell":
+        value = data.draw(st.sampled_from(["nan", "inf", "-1", "1_0", "oops", ""]), label="cell")
+        column = data.draw(st.integers(0, 2), label="column")
+        cells = lines[k].split(",")
+        cells[column] = value
+        lines[k] = ",".join(cells)
+        if value == "-1" and column < 2:  # a new axis value: no complete grid, named at the end
+            bad = last
+    elif kind == "drop-field":
+        lines[k] = lines[k].rsplit(",", 1)[0]
+    elif kind == "add-field":
+        lines[k] += ",0.5"
+    elif kind == "insert":
+        lines.insert(k, data.draw(st.sampled_from(["", " \t", "# note"]), label="inserted"))
+        bad = None
+    elif kind == "duplicate":
+        lines.insert(k, lines[k])
+        bad = last + 1
+    elif kind == "delete":
+        del lines[k]
+        bad = last - 1
+    else:
+        return "".join(line + "\r\n" for line in lines), None
+    return "".join(line + "\n" for line in lines), bad
+
+
 class TestFuzz:
     @given(command=st.sampled_from(["dispersion", "sweep", "phase-map"]), raw=CONFIGS)
     @settings(max_examples=200, deadline=None)
@@ -779,3 +843,17 @@ class TestFuzz:
                     assert not NON_FINITE.search(report), report
                 else:  # fit's exit 3 still writes its report
                     assert json.loads(report)["converged"] is False
+
+    @given(command=st.sampled_from(["fit", "linewidth"]), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_map_exits_0_2_or_3(self, fuzz_csv, command, data):
+        lines, path, argv, out, clean = fuzz_csv[command]
+        text, bad = _mutate_map_lines(lines, data)
+        path.write_text(text, newline="")
+        code, err, report = _run_reading(argv, out)
+        assert code in (0, 2, 3), err
+        if bad is None:  # blank, whitespace-only and comment lines and CRLF change nothing
+            assert (code, err, report) == clean
+        else:
+            assert code == 2, err
+            assert err.startswith(f"error: {path}: line {bad}: ") and err.count("\n") == 1, err

@@ -1,5 +1,7 @@
 """Tests for transmission-map synthesis, noise, cuts, and serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,12 @@ from conftest import map_freq_step
 @pytest.fixture(scope="module")
 def zero_coupling():
     return ac.CouplingParams(big_g=0.0)
+
+
+@pytest.fixture(scope="module")
+def default_text(default_map):
+    """The default map's CSV text: about eleven of the reader's line windows."""
+    return ac.map_to_csv(default_map)
 
 
 class TestLossParams:
@@ -454,6 +462,65 @@ class TestSerialization:
         text = spectra.CSV_HEADER + "\n0.1,9.0,0.5\n0.1,9.1,0.5\n0.2,9.0,0.5\n"
         with pytest.raises(ValueError, match="grid"):
             ac.map_from_csv(text)
+
+    def test_codec_peak_memory_within_two_and_a_half_texts(self, default_map):
+        # Both directions work a block of rows at a time: no list of every row or line.
+        tmap = ac.add_noise(default_map, 0.2, 0)
+        tracemalloc.start()
+        try:
+            text = ac.map_to_csv(tmap)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held, _ = tracemalloc.get_traced_memory()
+            ac.map_from_csv(text)
+            read_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert write_peak <= 2.5 * len(text), write_peak / len(text)
+        assert read_peak <= 2.5 * len(text), read_peak / len(text)
+
+    def test_windowed_lines_match_splitlines(self):
+        rng = np.random.default_rng(3)
+        bodies = ["", " ", " \t", "0.1,9.0,0.5", "# note"]
+        ends = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\n\n"]
+        pieces = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", " ", " \t", "", "\n"]
+        # A window ends at the first newline a window past its start: after each run of
+        # x's, so one window ends with each piece and its newline and the next starts with them.
+        text = "".join(
+            "x" * spectra._WINDOW + piece + "\n" + piece + "\n"
+            + "".join(bodies[i] + ends[j] for i, j in rng.integers(0, [5, 7], size=(2000, 2)))
+            for piece in pieces
+        ) + "\r"
+        assert list(spectra._text_lines(text)) == text.splitlines()
+
+    @pytest.mark.parametrize("rows, reason", [
+        (["0.5,9.0,oops"], "expected 3 comma-separated numbers"),
+        (["0.5,9.0"], "expected 3 comma-separated numbers"),
+        (["# note", "0.5,9.0,oops"], "expected 3 comma-separated numbers"),
+        (["0.5,9.0,-1.0"], "expected finite numbers and a transmission >= 0"),
+    ], ids=["bad-cell", "two-value-row", "comment-then-bad-cell", "negative-cell"])
+    @pytest.mark.parametrize("where", ["before-cut", "after-cut"])
+    def test_error_at_a_window_cut_names_its_line(self, default_text, rows, reason, where):
+        cut = default_text.index("\n", spectra._WINDOW) + 1  # where the second window starts
+        start = cut if where == "after-cut" else default_text.rindex("\n", 0, cut - 1) + 1
+        end = default_text.index("\n", start) + 1
+        text = default_text[:start] + "".join(row + "\n" for row in rows) + default_text[end:]
+        lineno = default_text.count("\n", 0, start) + len(rows)
+        with pytest.raises(ValueError) as info:
+            ac.map_from_csv(text)
+        assert str(info.value) == f"line {lineno}: {reason}, got {rows[-1]!r}"
+
+    def test_incomplete_grid_names_last_line_of_a_long_text(self, default_map, default_text):
+        cut = default_text.index("\n", spectra._WINDOW) + 1
+        text = default_text[:cut] + default_text[default_text.index("\n", cut) + 1:] + "\n# end\n"
+        n_fields, n_freqs = default_map.shape
+        last = text.count("\n")  # every line of ``text`` ends in a newline
+        with pytest.raises(ValueError) as info:
+            ac.map_from_csv(text)
+        assert str(info.value) == (
+            f"line {last}: {n_fields * n_freqs - 1} rows do not form a complete "
+            f"{n_fields} x {n_freqs} grid without duplicates"
+        )
 
     def test_db_export_header(self, default_map):
         text = ac.map_to_csv(default_map, db=True)
