@@ -8,6 +8,7 @@ solver in :mod:`afmcavity.optimize` with analytic Jacobians.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field as dataclass_field
+from itertools import compress
 
 import numpy as np
 
@@ -62,21 +63,7 @@ class PeakSet:
         return write_csv(["field_T,peak_GHz,height"], list(zip(*rows)))
 
 
-def _local_maxima(y: np.ndarray) -> np.ndarray:
-    """Interior local maxima; two-sample plateaus count once (left sample)."""
-    if y.size < 3:
-        return np.empty(0, dtype=int)
-    interior = y[1:-1]
-    candidates = (
-        (interior >= y[:-2])
-        & (interior >= y[2:])
-        & ((interior > y[:-2]) | (interior > y[2:]))
-    )
-    idx = np.flatnonzero(candidates) + 1
-    if idx.size > 1:
-        duplicate = (np.diff(idx) == 1) & (y[idx[1:]] == y[idx[:-1]])
-        idx = idx[np.concatenate(([True], ~duplicate))]
-    return idx
+_BLOCK_CELLS = 1 << 20  # samples searched at once, so no temporary grows with the map
 
 
 def _prominences(y: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -96,27 +83,6 @@ def _prominences(y: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return proms
 
 
-def _parabolic_vertex(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:
-    """Refine a grid maximum with the quadratic through its three samples.
-
-    Works in coordinates centered on the grid point, so a symmetric pair of
-    neighbors returns the grid frequency itself with no rounding drift; the
-    vertex of a genuine 3-point maximum always lies inside the bracket.
-    """
-    t0 = x[i - 1] - x[i]
-    t2 = x[i + 1] - x[i]
-    d0 = y[i - 1] - y[i]
-    d2 = y[i + 1] - y[i]
-    det = t0 * t2 * (t2 - t0)
-    slope = (d0 * t2 * t2 - d2 * t0 * t0) / det
-    curvature = (d2 * t0 - d0 * t2) / det
-    if curvature >= 0:  # collinear or upward: nothing to interpolate
-        return float(x[i]), float(y[i])
-    shift = -slope / (2.0 * curvature)
-    height = y[i] - slope * slope / (4.0 * curvature)
-    return float(x[i] + shift), float(height)
-
-
 def extract_peaks(tmap: TransmissionMap, min_prominence: float = 0.1) -> PeakSet:
     """Locate up to two transmission peaks per field column.
 
@@ -127,27 +93,62 @@ def extract_peaks(tmap: TransmissionMap, min_prominence: float = 0.1) -> PeakSet
     """
     if not 0.0 < min_prominence < 1.0:
         raise ValueError(f"min_prominence must lie in (0, 1), got {min_prominence!r}")
-    freqs = tmap.freq_axis
-    columns = []
-    for i, b in enumerate(tmap.field_axis):
-        y = tmap.values[i]
-        threshold = min_prominence * float(y.max())
-        picks = []
-        if threshold > 0:
-            maxima = _local_maxima(y)
-            # prominence never exceeds height, so short maxima can be skipped
-            maxima = maxima[y[maxima] >= threshold]
-            proms = _prominences(y, maxima)
-            best = np.argsort(-proms, kind="stable")[:2]  # ties go to the lower index
-            picks = sorted(maxima[best[proms[best] >= threshold]].tolist())
-        refined = [_parabolic_vertex(freqs, y, j) for j in picks]
-        positions = tuple(pos for pos, _ in refined)
-        heights = tuple(height for _, height in refined)
-        columns.append(ColumnPeaks(field=float(b), positions=positions, heights=heights))
-    return PeakSet(
-        columns=tuple(columns),
-        freq_range=(float(freqs[0]), float(freqs[-1])),
+    freqs, values = tmap.freq_axis, tmap.values
+    ranked = []  # (row, -prominence, column) of every qualifying peak
+    step = max(1, _BLOCK_CELLS // freqs.size)
+    for start in range(0, len(values), step):
+        block = values[start : start + step]
+        top, bottom = block.max(axis=1), block.min(axis=1)
+        threshold = min_prominence * top
+        threshold[threshold == 0] = np.inf  # a row of zeros has no peaks
+        # prominence never exceeds height, so only samples at or above the threshold can qualify
+        above = block >= threshold[:, None]
+        above[:, [0, -1]] = False  # peaks are interior samples
+        rows, cols = np.divmod(np.flatnonzero(above), freqs.size)
+        h, left, right = block[rows, cols], block[rows, cols - 1], block[rows, cols + 1]
+        is_max = (h >= left) & (h >= right) & ((h > left) | (h > right))
+        # The few maxima left are ranked in Python, not in small arrays of their own: numpy
+        # caches freed arrays under 1 KiB by exact size, and each new size pins memory in the
+        # heap that the next map reuses (on fine_noisy, a whole map more of peak RSS).
+        top, bottom, threshold = top.tolist(), bottom.tolist(), threshold.tolist()
+        below, last = {}, None
+        for k in compress(range(is_max.size), is_max.tolist()):
+            r, c, value = int(rows[k]), int(cols[k]), float(h[k])
+            previous, last = last, (r, c)
+            if value == left[k] and previous == (r, c - 1):
+                continue  # a two-sample plateau counts once, at its left sample
+            if value < top[r]:
+                below.setdefault(r, []).append(c)
+            elif value - bottom[r] >= threshold[r]:  # a row maximum's prominence
+                ranked.append((start + r, -(value - bottom[r]), c))
+        for r, found in below.items():
+            proms = _prominences(block[r], found).tolist()
+            ranked += [(start + r, -p, c) for c, p in zip(found, proms) if p >= threshold[r]]
+    ranked.sort()  # by row, then prominence from the highest, ties to the lower column
+    peaks = sorted((r, c) for k, (r, _, c) in enumerate(ranked) if k < 2 or ranked[k - 2][0] != r)
+    rows, cols = np.array(peaks, dtype=int).reshape(-1, 2).T
+
+    # the vertex of the quadratic through each peak and its two neighbours, centred on the
+    # grid point so that a symmetric pair of neighbours returns its frequency with no drift
+    x, y = freqs[cols], values[rows, cols]
+    t0, t2 = freqs[cols - 1] - x, freqs[cols + 1] - x
+    d0, d2 = values[rows, cols - 1] - y, values[rows, cols + 1] - y
+    det = t0 * t2 * (t2 - t0)
+    slope = (d0 * t2 * t2 - d2 * t0 * t0) / det
+    curvature = (d2 * t0 - d0 * t2) / det
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = -slope / (2.0 * curvature)
+        height = y - slope * slope / (4.0 * curvature)
+    upward = curvature >= 0  # collinear or upward: nothing to interpolate
+    positions = np.where(upward, x, x + shift).tolist()
+    heights = np.where(upward, y, height).tolist()
+
+    bounds = np.searchsorted(rows, np.arange(len(values) + 1)).tolist()
+    columns = tuple(
+        ColumnPeaks(field=b, positions=tuple(positions[lo:hi]), heights=tuple(heights[lo:hi]))
+        for b, lo, hi in zip(tmap.field_axis.tolist(), bounds, bounds[1:])
     )
+    return PeakSet(columns=columns, freq_range=(float(freqs[0]), float(freqs[-1])))
 
 
 # --- avoided-crossing fit ---------------------------------------------------

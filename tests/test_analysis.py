@@ -120,6 +120,44 @@ class TestExtractPeaks:
         assert peaks.to_csv() == "\n".join(lines) + "\n"
 
 
+def _local_maxima(y: np.ndarray) -> np.ndarray:
+    """Interior local maxima; two-sample plateaus count once (left sample)."""
+    if y.size < 3:
+        return np.empty(0, dtype=int)
+    interior = y[1:-1]
+    candidates = (
+        (interior >= y[:-2])
+        & (interior >= y[2:])
+        & ((interior > y[:-2]) | (interior > y[2:]))
+    )
+    idx = np.flatnonzero(candidates) + 1
+    if idx.size > 1:
+        duplicate = (np.diff(idx) == 1) & (y[idx[1:]] == y[idx[:-1]])
+        idx = idx[np.concatenate(([True], ~duplicate))]
+    return idx
+
+
+def _parabolic_vertex(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:
+    """Refine a grid maximum with the quadratic through its three samples.
+
+    Works in coordinates centered on the grid point, so a symmetric pair of
+    neighbors returns the grid frequency itself with no rounding drift; the
+    vertex of a genuine 3-point maximum always lies inside the bracket.
+    """
+    t0 = x[i - 1] - x[i]
+    t2 = x[i + 1] - x[i]
+    d0 = y[i - 1] - y[i]
+    d2 = y[i + 1] - y[i]
+    det = t0 * t2 * (t2 - t0)
+    slope = (d0 * t2 * t2 - d2 * t0 * t0) / det
+    curvature = (d2 * t0 - d0 * t2) / det
+    if curvature >= 0:  # collinear or upward: nothing to interpolate
+        return float(x[i]), float(y[i])
+    shift = -slope / (2.0 * curvature)
+    height = y[i] - slope * slope / (4.0 * curvature)
+    return float(x[i] + shift), float(height)
+
+
 def reference_prominence(y, i):
     """The per-sample walk ``analysis._prominences`` replaced."""
     h = y[i]
@@ -144,14 +182,14 @@ def reference_extract_peaks(tmap, min_prominence):
         threshold = min_prominence * float(y.max())
         candidates = []
         if threshold > 0:
-            maxima = analysis._local_maxima(y)
+            maxima = _local_maxima(y)
             for j in maxima[y[maxima] >= threshold]:
                 prom = reference_prominence(y, j)
                 if prom >= threshold:
                     candidates.append((prom, int(j)))
         candidates.sort(key=lambda t: (-t[0], t[1]))
         picks = sorted(j for _, j in candidates[:2])
-        refined = [analysis._parabolic_vertex(freqs, y, j) for j in picks]
+        refined = [_parabolic_vertex(freqs, y, j) for j in picks]
         columns.append(
             analysis.ColumnPeaks(
                 field=float(b),
@@ -174,12 +212,27 @@ _columns = st.one_of(
 )
 
 
+def _rows(n):
+    """The ``_columns`` patterns at one length ``n``, all-zero rows among them."""
+    row = st.lists(_levels, min_size=n, max_size=n)
+    return st.one_of(
+        row,
+        row.map(sorted),  # maxima and plateaus at the row's end
+        row.map(lambda v: sorted(v, reverse=True)),  # the maximum on the edge column
+        row.map(lambda v: [4 + level for level in v]),  # a raised floor: prominence is per row
+        _levels.map(lambda v: [v] * n),
+        st.just([0] * n),
+        st.integers(0, n - 1).map(lambda j: [4 * (k == j) for k in range(n)]),  # one spike
+        st.lists(st.sampled_from([0, 4]), min_size=n, max_size=n),
+    )
+
+
 class TestProminences:
     @settings(max_examples=500, deadline=None)
     @given(values=_columns, min_prominence=st.sampled_from([0.05, 0.25, 0.5, 0.75]))
     def test_matches_reference_walk(self, values, min_prominence):
         y = np.array(values, dtype=float)
-        maxima = analysis._local_maxima(y)
+        maxima = _local_maxima(y)
         expected = [reference_prominence(y, i) for i in maxima]
         assert analysis._prominences(y, maxima).tolist() == expected
         # the threshold and the tie-break around it
@@ -187,6 +240,30 @@ class TestProminences:
         assert ac.extract_peaks(tmap, min_prominence) == reference_extract_peaks(
             tmap, min_prominence
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.integers(1, 40).flatmap(lambda n: st.lists(_rows(n), min_size=1, max_size=8)),
+        min_prominence=st.sampled_from([0.05, 0.25, 0.5, 0.75]),
+    )
+    def test_rows_stay_independent(self, values, min_prominence):
+        # the plateau rule and the top-two choice must not reach into a neighbouring row
+        y = np.array(values, dtype=float)
+        tmap = ac.TransmissionMap(np.arange(y.shape[0]), np.arange(y.shape[1]), y)
+        assert repr(ac.extract_peaks(tmap, min_prominence)) == repr(
+            reference_extract_peaks(tmap, min_prominence)
+        )
+
+    def test_maps_spanning_blocks_bit_identical(self, spins, cavity, coupling, loss):
+        clean = ac.synthesize_map(
+            ac.GridSpec(start=0.0, stop=1.1, step=0.001).samples(),
+            ac.GridSpec(start=8.0, stop=15.0, step=0.005).samples(),
+            spins, cavity, coupling, loss,
+        )
+        assert clean.values.size > analysis._BLOCK_CELLS
+        for seed in range(5):
+            tmap = ac.add_noise(clean, 0.2, seed)
+            assert repr(ac.extract_peaks(tmap, 0.2)) == repr(reference_extract_peaks(tmap, 0.2))
 
     def test_matches_scipy_off_the_column_maximum(self, default_map, spins, cavity, coupling, loss):
         signal = pytest.importorskip("scipy.signal")
@@ -199,7 +276,7 @@ class TestProminences:
             *ac.add_noise(fine, 0.2, 11).values,
         ]
         for y in columns:
-            maxima = analysis._local_maxima(y)
+            maxima = _local_maxima(y)
             at_top = y[maxima] == y.max()
             assert at_top.sum() == 1
             proms = analysis._prominences(y, maxima)
