@@ -66,11 +66,11 @@ class PeakSet:
 _BLOCK_CELLS = 1 << 20  # samples searched at once, so no temporary grows with the map
 
 
-def _prominences(y: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _prominences(y: np.ndarray, idx: np.ndarray, top: float, bottom: float) -> np.ndarray:
     """Prominence of each ``y[idx]``: height above the higher of its two bases, each
     the lowest sample between it and the nearest strictly higher sample on that side
-    (or the column edge).  A column maximum's is its height above the column minimum."""
-    top, bottom = y.max(), y.min()
+    (or the column edge).  A column maximum's is its height above the column minimum.
+    ``top`` and ``bottom`` are ``y.max()`` and ``y.min()``, which the caller holds."""
     proms = y[idx] - bottom
     for n, i in enumerate(idx):
         h = y[i]
@@ -122,7 +122,7 @@ def extract_peaks(tmap: TransmissionMap, min_prominence: float = 0.1) -> PeakSet
             elif value - bottom[r] >= threshold[r]:  # a row maximum's prominence
                 ranked.append((start + r, -(value - bottom[r]), c))
         for r, found in below.items():
-            proms = _prominences(block[r], found).tolist()
+            proms = _prominences(block[r], found, top[r], bottom[r]).tolist()
             ranked += [(start + r, -p, c) for c, p in zip(found, proms) if p >= threshold[r]]
     ranked.sort()  # by row, then prominence from the highest, ties to the lower column
     peaks = sorted((r, c) for k, (r, _, c) in enumerate(ranked) if k < 2 or ranked[k - 2][0] != r)

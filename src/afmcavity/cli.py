@@ -54,7 +54,7 @@ def _map_params(args):
     """The map of an analysis run and its model parameters: map metadata first, config second."""
     cfg = load_config(args.config)
     tmap = spectra.load_map(args.map)
-    meta = tmap.metadata or {}
+    meta = tmap.metadata
     try:
         return (tmap,) + tuple(
             getattr(cfg, name) if meta.get(name) is None else build_section(name, meta[name])
@@ -89,6 +89,8 @@ def cmd_dispersion(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
     out = args.out or "transmission_map.csv"
     if args.config and Path(args.config).resolve() in (
         Path(out).resolve(), spectra.sidecar_path(out).resolve()
@@ -99,10 +101,9 @@ def cmd_sweep(args) -> int:
     tmap = spectra.synthesize_map(
         field_axis, freq_axis, cfg.spins, cfg.cavity, cfg.coupling, cfg.loss
     )
-    seed = cfg.seed if args.seed is None else args.seed
     if cfg.noise_sigma_db > 0:
-        tmap = spectra.add_noise(tmap, cfg.noise_sigma_db, seed)
-    tmap = replace(tmap, metadata={**(tmap.metadata or {}), "config": cfg.to_dict()})
+        tmap = spectra.add_noise(tmap, cfg.noise_sigma_db, cfg.seed)
+    tmap = replace(tmap, metadata={**tmap.metadata, "config": cfg.to_dict()})
     spectra.save_map(tmap, out, db=args.db)
     return EXIT_OK
 
@@ -144,7 +145,7 @@ def cmd_linewidth(args) -> int:
         "conversion_ghz_per_tesla": analysis.linewidth_field_to_freq(1.0, spins.g_factor),
         "g_factor": spins.g_factor,
     }
-    if tmap.metadata and "spins" in tmap.metadata:
+    if "spins" in tmap.metadata:
         # With the synthesis record available, also report the polariton
         # linewidth corrected for the cavity admixture of the branch.
         peak_field = float(cut.fields[int(cut.powers.argmax())])

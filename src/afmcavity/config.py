@@ -77,8 +77,8 @@ class RunConfig:
     def __post_init__(self):
         if self.loss is None:
             object.__setattr__(self, "loss", LossParams.from_cavity(self.cavity))
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ConfigError(f"seed: expected an integer, got {self.seed!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed: expected an integer >= 0, got {self.seed!r}")
         noise = self.noise_sigma_db
         if isinstance(noise, bool) or not isinstance(noise, (int, float)):
             raise ConfigError(f"noise_sigma_db: expected a number, got {noise!r}")
@@ -86,10 +86,6 @@ class RunConfig:
             object.__setattr__(self, "noise_sigma_db", checked("value", noise, 0.0))
         except (ValueError, OverflowError) as exc:  # OverflowError: an int past 1e308
             raise ConfigError(f"noise_sigma_db: {exc}") from None
-
-    @classmethod
-    def defaults(cls) -> "RunConfig":
-        return cls()
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -140,7 +136,7 @@ def build_section(name: str, raw):
 def load_config(path) -> RunConfig:
     """Load and validate a JSON config file; a missing path means defaults."""
     if path is None:
-        return RunConfig.defaults()
+        return RunConfig()
     path = Path(path)
     try:
         raw = json.loads(path.read_text())

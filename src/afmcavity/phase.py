@@ -20,8 +20,6 @@ ANTIFERROMAGNETIC = "antiferromagnetic"
 SPIN_FLOP = "spin-flop"
 PARAMAGNETIC = "paramagnetic"
 
-_DEFAULT_SPIN_FLOP_FIELD = core.spin_flop_field(core.SpinSystemParams())
-
 
 @dataclass(frozen=True)
 class PhaseBoundaries:
@@ -33,8 +31,8 @@ class PhaseBoundaries:
     saturation field as (1 - T/T_N(0))^(1/neel_exponent).
     """
 
-    neel_temperature: float = 2.495  # K, at zero field
-    spin_flop_field: float = _DEFAULT_SPIN_FLOP_FIELD  # T, at zero temperature
+    neel_temperature: float = core.SpinSystemParams.neel_temperature  # K, at zero field
+    spin_flop_field: float = core.spin_flop_field(core.SpinSystemParams())  # T, at zero temperature
     neel_exponent: float = 2.0
     critical_field: float = 2.5  # T, where the Neel line reaches zero
     saturation_field: float = 2.5  # T, spin-flop -> paramagnetic at T = 0
@@ -61,14 +59,12 @@ def neel_temperature_at(b: float, boundaries: PhaseBoundaries) -> float:
     return boundaries.neel_temperature * max(0.0, reduced)
 
 
-def spin_flop_boundary(t: float, boundaries: PhaseBoundaries | None = None) -> float:
+def spin_flop_boundary(t: float, boundaries: PhaseBoundaries = PhaseBoundaries()) -> float:
     """Field of the AFM / spin-flop boundary at temperature ``t`` (tesla).
 
     Monotone non-increasing in temperature and flat near zero; only defined
     below the zero-field ordering temperature.
     """
-    if boundaries is None:
-        boundaries = PhaseBoundaries()
     t = core.checked("temperature", t, 0.0)
     if t >= boundaries.neel_temperature:
         raise ValueError(
@@ -94,15 +90,13 @@ def _curve(line, x, boundaries: PhaseBoundaries) -> np.ndarray:
     return np.array([line(v, boundaries) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
 
 
-def _phase_labels(b: np.ndarray, t: np.ndarray, boundaries: PhaseBoundaries | None):
+def _phase_labels(b: np.ndarray, t: np.ndarray, boundaries: PhaseBoundaries):
     """Phase names over broadcastable field and temperature arrays.
 
     The three rules run as masks; each boundary curve is evaluated with the
     scalar function above once per given coordinate, so a point that function
     places on the curve is judged on it bit for bit.
     """
-    if boundaries is None:
-        boundaries = PhaseBoundaries()
     paramagnetic = (t >= _curve(neel_temperature_at, b, boundaries)) | (
         b >= _curve(paramagnetic_boundary, t, boundaries)
     )
@@ -112,9 +106,7 @@ def _phase_labels(b: np.ndarray, t: np.ndarray, boundaries: PhaseBoundaries | No
     return _LABELS[np.where(paramagnetic, 2, np.where(antiferro, 0, 1))]
 
 
-def classify_phase(
-    b: float, t: float, boundaries: PhaseBoundaries | None = None
-) -> str:
+def classify_phase(b: float, t: float, boundaries: PhaseBoundaries = PhaseBoundaries()) -> str:
     """Name the phase at (field, temperature).
 
     Points exactly on a boundary go to the higher-symmetry side
@@ -124,7 +116,7 @@ def classify_phase(
     return _phase_labels(b, t, boundaries)
 
 
-def phase_grid(field_axis, temperature_axis, boundaries: PhaseBoundaries | None = None):
+def phase_grid(field_axis, temperature_axis, boundaries: PhaseBoundaries = PhaseBoundaries()):
     """Classify every point of a rectangular raster; rows follow the field axis."""
     b = core.checked("field", field_axis, 0.0)[:, None]
     t = core.checked("temperature", temperature_axis, 0.0)[None, :]

@@ -40,7 +40,7 @@ class LossParams:
 
     @classmethod
     def from_cavity(
-        cls, cavity: CavityParams, magnon_linewidth: float = 0.035
+        cls, cavity: CavityParams, magnon_linewidth: float = magnon_linewidth  # the field's default
     ) -> "LossParams":
         """Split f_cavity/Q into internal/external parts per the cavity's coupling fraction."""
         total = cavity.total_linewidth
@@ -67,7 +67,7 @@ class TransmissionMap:
     field_axis: np.ndarray  # tesla
     freq_axis: np.ndarray  # GHz
     values: np.ndarray
-    metadata: dict | None = field(default=None)
+    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         field_axis, freq_axis, values = map(_frozen, (self.field_axis, self.freq_axis, self.values))
@@ -87,6 +87,8 @@ class TransmissionMap:
         core.checked("values", values, 0.0)
         for name, arr in (("field_axis", field_axis), ("freq_axis", freq_axis), ("values", values)):
             object.__setattr__(self, name, arr)
+        if self.metadata is None:
+            object.__setattr__(self, "metadata", {})
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -213,7 +215,7 @@ def add_noise(tmap: TransmissionMap, sigma_db: float, seed: int) -> Transmission
         np.power(10.0, noisy, out=noisy)
         noisy *= tmap.values
     noisy.flags.writeable = False  # handed over without a copy
-    metadata = {**(tmap.metadata or {}), "noise": {"sigma_db": sigma_db, "seed": int(seed)}}
+    metadata = {**tmap.metadata, "noise": {"sigma_db": sigma_db, "seed": int(seed)}}
     return TransmissionMap(tmap.field_axis, tmap.freq_axis, noisy, metadata)
 
 
@@ -390,7 +392,7 @@ def save_map(tmap: TransmissionMap, csv_path, db: bool = False) -> Path:
     """Write the CSV plus a JSON metadata sidecar with the same stem."""
     csv_path = Path(csv_path)
     csv_path.write_text(map_to_csv(tmap, db=db))
-    sidecar_path(csv_path).write_text(write_json(tmap.metadata or {}))
+    sidecar_path(csv_path).write_text(write_json(tmap.metadata))
     return csv_path
 
 
@@ -401,8 +403,8 @@ def load_map(csv_path) -> TransmissionMap:
     try:
         tmap = map_from_csv(path.read_text())
         path = sidecar
-        metadata = json.loads(sidecar.read_text()) if sidecar.exists() else None
-        if not isinstance(metadata, (dict, type(None))):
+        metadata = json.loads(sidecar.read_text()) if sidecar.exists() else {}
+        if not isinstance(metadata, dict):
             raise ValueError(f"expected a JSON object, got {type(metadata).__name__}")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

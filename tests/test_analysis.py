@@ -234,7 +234,7 @@ class TestProminences:
         y = np.array(values, dtype=float)
         maxima = _local_maxima(y)
         expected = [reference_prominence(y, i) for i in maxima]
-        assert analysis._prominences(y, maxima).tolist() == expected
+        assert analysis._prominences(y, maxima, y.max(), y.min()).tolist() == expected
         # the threshold and the tie-break around it
         tmap = ac.TransmissionMap([0.1], np.arange(y.size, dtype=float), y[None, :])
         assert ac.extract_peaks(tmap, min_prominence) == reference_extract_peaks(
@@ -279,7 +279,7 @@ class TestProminences:
             maxima = _local_maxima(y)
             at_top = y[maxima] == y.max()
             assert at_top.sum() == 1
-            proms = analysis._prominences(y, maxima)
+            proms = analysis._prominences(y, maxima, y.max(), y.min())
             # scipy walks to the column edges from a column maximum; this package
             # takes that peak's prominence as its height above the column minimum
             assert proms[at_top].tolist() == [y.max() - y.min()]

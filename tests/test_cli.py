@@ -139,6 +139,7 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--out", str(out), "--seed", "31"]) == 0
         meta = json.loads(out.with_suffix(".json").read_text())
         assert meta["noise"]["seed"] == 31
+        assert meta["config"]["seed"] == 31  # the recorded config reproduces the map
 
     def test_refuses_to_overwrite_its_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -431,6 +432,7 @@ class TestExitCodes:
         pytest.param("bogus-key", "spins.bogus", id="unknown-key"),
         pytest.param("[1]", "{path}: expected a JSON object, got list", id="list-root"),
         pytest.param('"x"', "{path}: expected a JSON object, got str", id="string-root"),
+        pytest.param("null", "{path}: expected a JSON object, got NoneType", id="null-root"),
         pytest.param("truncated", "{path}: ", id="truncated"),
     ])
     def test_unknown_sidecar_key_exit_2(self, sweep_map, tmp_path, capsys, sidecar, expected):
@@ -483,6 +485,12 @@ class TestExitCodes:
                      id="b-step-too-large"),
         pytest.param(["phase-map", "--t-step", "1e-15"], {}, "Unable to allocate",
                      id="t-step-too-large"),
+        pytest.param(["sweep"], {"seed": -1}, "seed: expected an integer >= 0, got -1",
+                     id="negative-seed"),
+        pytest.param(["sweep"], {"seed": -1, "noise_sigma_db": 0.2},
+                     "seed: expected an integer >= 0, got -1", id="negative-seed-noisy"),
+        pytest.param(["sweep", "--seed", "-1"], {"noise_sigma_db": 0.2},
+                     "seed: expected an integer >= 0, got -1", id="negative-seed-flag"),
     ])
     def test_overflowing_derived_quantity_exit_2(self, tmp_path, capsys, argv, raw, expected):
         cfg = tmp_path / "run.json"
@@ -587,7 +595,7 @@ class TestCsvBytes:
         out = tmp_path / "disp.csv"
         assert main(["dispersion", *grid, "--out", str(out)]) == 0
 
-        cfg = ac.RunConfig.defaults()
+        cfg = ac.RunConfig()
         start, stop, step = (float(v) for v in grid[1::2]) if grid else (
             cfg.field_grid.start, cfg.field_grid.stop, cfg.field_grid.step)
         fields = ac.GridSpec(start=start, stop=stop, step=step).samples()

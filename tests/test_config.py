@@ -29,7 +29,7 @@ class TestGridSpec:
 
 class TestRunConfig:
     def test_defaults(self):
-        cfg = RunConfig.defaults()
+        cfg = RunConfig()
         assert cfg.spins.f_afmr0 == 34.0
         assert cfg.cavity.quality_factor == 1300.0
         assert cfg.coupling.big_g == 1.72
@@ -99,7 +99,7 @@ class TestRunConfig:
         assert again == cfg
 
     def test_round_trip_through_json(self):
-        cfg = RunConfig.defaults()
+        cfg = RunConfig()
         again = RunConfig.from_dict(json.loads(cfg.to_json()))
         assert again == cfg
 
@@ -121,7 +121,7 @@ class TestRunConfig:
 
 class TestLoadConfig:
     def test_missing_path_means_defaults(self):
-        assert load_config(None) == RunConfig.defaults()
+        assert load_config(None) == RunConfig()
 
     def test_file_loading(self, tmp_path):
         path = tmp_path / "run.json"

@@ -382,6 +382,15 @@ class TestSerialization:
         assert np.array_equal(loaded.values, small.values)
         assert loaded.metadata == small.metadata
 
+    def test_missing_metadata_is_empty(self, tmp_path):
+        bare = ac.TransmissionMap([0.1, 0.2], [1.0, 2.0], np.ones((2, 2)))
+        assert bare.metadata == {}
+        assert ac.TransmissionMap([0.1], [1.0], [[1.0]], None).metadata == {}
+        path = tmp_path / "map.csv"
+        ac.save_map(bare, path)
+        path.with_suffix(".json").unlink()
+        assert ac.load_map(path).metadata == {}
+
     def test_header_checked(self):
         with pytest.raises(ValueError, match="line 1"):
             ac.map_from_csv("field,freq,val\n0,1,2\n")
