@@ -8,7 +8,6 @@ solver in :mod:`afmcavity.optimize` with analytic Jacobians.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field as dataclass_field
-from itertools import compress
 
 import numpy as np
 
@@ -66,20 +65,48 @@ class PeakSet:
 _BLOCK_CELLS = 1 << 20  # samples searched at once, so no temporary grows with the map
 
 
-def _prominences(y: np.ndarray, idx: np.ndarray, top: float, bottom: float) -> np.ndarray:
-    """Prominence of each ``y[idx]``: height above the higher of its two bases, each
-    the lowest sample between it and the nearest strictly higher sample on that side
-    (or the column edge).  A column maximum's is its height above the column minimum.
-    ``top`` and ``bottom`` are ``y.max()`` and ``y.min()``, which the caller holds."""
-    proms = y[idx] - bottom
-    for n, i in enumerate(idx):
-        h = y[i]
-        if h < top:
-            higher = np.flatnonzero(y > h)
-            cut = np.searchsorted(higher, i)
-            left = higher[cut - 1] + 1 if cut else 0
-            right = higher[cut] if cut < higher.size else y.size
-            proms[n] = h - max(y[left:i].min(initial=h), y[i + 1 : right].min(initial=h))
+def _block_prominences(block, rows, cols, peak, top, bottom) -> np.ndarray:
+    """Prominence of each peak ``block[rows[peak], cols[peak]]``: its height above the
+    higher of its two bases, each the lowest sample between it and the nearest strictly
+    higher sample on that side (or the row's edge).  A row maximum's is its height above
+    the row minimum.  ``rows, cols`` list in row-major order samples that include every
+    one strictly higher than a peak of its row; ``top`` and ``bottom`` are the block's
+    row maxima and minima."""
+    n = block.shape[1]
+    heights = block[rows, cols]
+    r, c, h = rows[peak], cols[peak], heights[peak]
+    proms = h - bottom[r]
+    below = h < top[r]
+    # each row's listed samples in a table, between sentinels higher than any sample at
+    # columns -1 and n, so that every peak finds a higher sample on either side
+    counts = np.bincount(rows, minlength=len(block))
+    slot = np.arange(1, rows.size + 1) - (np.cumsum(counts) - counts)[rows]
+    width = int(counts.max()) + 2
+    level = np.full((len(block), width), -np.inf)
+    level[:, [0, -1]] = np.inf
+    level[rows, slot] = heights
+    column = np.full(level.shape, n)
+    column[:, 0] = -1
+    column[rows, slot] = cols
+    r, c, h, s = r[below], c[below], h[below], slot[peak][below]
+    left, right = np.empty_like(c), np.empty_like(c)
+    chunk = max(1, _BLOCK_CELLS // width)  # peaks compared at once: one block of cells
+    for k in range(0, h.size, chunk):
+        part = slice(k, k + chunk)
+        higher = level[r[part]] > h[part, None]
+        before = np.arange(width) < s[part, None]
+        left[part] = column[r[part], width - 1 - np.argmax((higher & before)[:, ::-1], axis=1)]
+        right[part] = column[r[part], np.argmax(higher > before, axis=1)]
+    # Each base is a minimum over a span [a, b) of the flattened block, (left, c) and
+    # (c, right) in the row, reduced from the index pairs (a, b); an empty span yields
+    # v[a], a sample >= h, as min(initial=h) would.  An end past the block's last index
+    # is cut to it, and that last cell is taken in afterwards.
+    v, start = block.ravel(), r * n
+    end = start + right
+    pairs = np.stack([start + left + 1, start + c, start + c + 1, np.minimum(end, v.size - 1)], 1)
+    lows = np.minimum.reduceat(v, pairs.ravel())
+    np.minimum(lows[2::4], v[-1], out=lows[2::4], where=end == v.size)
+    proms[below] = h - np.maximum(np.minimum(lows[::4], h), np.minimum(lows[2::4], h))
     return proms
 
 
@@ -94,36 +121,30 @@ def extract_peaks(tmap: TransmissionMap, min_prominence: float = 0.1) -> PeakSet
     if not 0.0 < min_prominence < 1.0:
         raise ValueError(f"min_prominence must lie in (0, 1), got {min_prominence!r}")
     freqs, values = tmap.freq_axis, tmap.values
+    n = freqs.size
     ranked = []  # (row, -prominence, column) of every qualifying peak
-    step = max(1, _BLOCK_CELLS // freqs.size)
+    step = max(1, _BLOCK_CELLS // n)
     for start in range(0, len(values), step):
         block = values[start : start + step]
         top, bottom = block.max(axis=1), block.min(axis=1)
         threshold = min_prominence * top
         threshold[threshold == 0] = np.inf  # a row of zeros has no peaks
-        # prominence never exceeds height, so only samples at or above the threshold can qualify
-        above = block >= threshold[:, None]
-        above[:, [0, -1]] = False  # peaks are interior samples
-        rows, cols = np.divmod(np.flatnonzero(above), freqs.size)
-        h, left, right = block[rows, cols], block[rows, cols - 1], block[rows, cols + 1]
-        is_max = (h >= left) & (h >= right) & ((h > left) | (h > right))
-        # The few maxima left are ranked in Python, not in small arrays of their own: numpy
-        # caches freed arrays under 1 KiB by exact size, and each new size pins memory in the
-        # heap that the next map reuses (on fine_noisy, a whole map more of peak RSS).
-        top, bottom, threshold = top.tolist(), bottom.tolist(), threshold.tolist()
-        below, last = {}, None
-        for k in compress(range(is_max.size), is_max.tolist()):
-            r, c, value = int(rows[k]), int(cols[k]), float(h[k])
-            previous, last = last, (r, c)
-            if value == left[k] and previous == (r, c - 1):
-                continue  # a two-sample plateau counts once, at its left sample
-            if value < top[r]:
-                below.setdefault(r, []).append(c)
-            elif value - bottom[r] >= threshold[r]:  # a row maximum's prominence
-                ranked.append((start + r, -(value - bottom[r]), c))
-        for r, found in below.items():
-            proms = _prominences(block[r], found, top[r], bottom[r]).tolist()
-            ranked += [(start + r, -p, c) for c, p in zip(found, proms) if p >= threshold[r]]
+        # prominence never exceeds height, so only samples at or above the threshold can
+        # qualify, and every sample higher than one of those is at or above it too
+        flat = np.flatnonzero(block >= threshold[:, None])
+        rows, cols = np.divmod(flat, n)
+        v = block.ravel()
+        h, left, right = v[flat], v[flat - 1], v[np.minimum(flat + 1, v.size - 1)]
+        peak = (h >= left) & (h >= right) & ((h > left) | (h > right)) & (cols > 0) & (cols < n - 1)
+        # a two-sample plateau counts once, at its left sample
+        peak[1:] &= (h[1:] != left[1:]) | ~peak[:-1]
+        proms = _block_prominences(block, rows, cols, peak, top, bottom)
+        r, c = rows[peak], cols[peak]
+        keep = proms >= threshold[r]
+        # every block's qualifying peaks go into one Python list for one sort, not into an
+        # array grown block by block: numpy caches freed arrays under 1 KiB by exact size, and
+        # each new size can pin memory in the heap that the next map reuses
+        ranked += zip((r[keep] + start).tolist(), (-proms[keep]).tolist(), c[keep].tolist())
     ranked.sort()  # by row, then prominence from the highest, ties to the lower column
     peaks = sorted((r, c) for k, (r, _, c) in enumerate(ranked) if k < 2 or ranked[k - 2][0] != r)
     rows, cols = np.array(peaks, dtype=int).reshape(-1, 2).T

@@ -102,7 +102,12 @@ def cmd_sweep(args) -> int:
         field_axis, freq_axis, cfg.spins, cfg.cavity, cfg.coupling, cfg.loss
     )
     if cfg.noise_sigma_db > 0:
-        tmap = spectra.add_noise(tmap, cfg.noise_sigma_db, cfg.seed)
+        try:
+            tmap = spectra.add_noise(tmap, cfg.noise_sigma_db, cfg.seed)
+        except ValueError as exc:  # the noisy map's own check: a factor 10^(n/10) past 1e308
+            raise ConfigError(
+                f"noise_sigma_db: {cfg.noise_sigma_db!r} overflows the noise factor: {exc}"
+            ) from None
     tmap = replace(tmap, metadata={**tmap.metadata, "config": cfg.to_dict()})
     spectra.save_map(tmap, out, db=args.db)
     return EXIT_OK

@@ -1,6 +1,7 @@
 """Tests for peak extraction, branch fitting, linewidths, and trend fits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,7 +160,7 @@ def _parabolic_vertex(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, floa
 
 
 def reference_prominence(y, i):
-    """The per-sample walk ``analysis._prominences`` replaced."""
+    """The per-sample walk: the oracle for ``analysis._block_prominences``."""
     h = y[i]
     if h == y.max():
         return float(h - y.min())
@@ -172,6 +173,16 @@ def reference_prominence(y, i):
             j += step
         bases.append(base)
     return float(h - max(bases))
+
+
+def row_prominences(y, maxima):
+    """``analysis._block_prominences`` on the one-row block ``y``, listing the samples at or
+    above its lowest maximum."""
+    block = y[None, :]
+    cols = np.flatnonzero(y >= y[maxima].min(initial=np.inf))
+    rows, peak = np.zeros_like(cols), np.isin(cols, maxima)
+    top, bottom = block.max(axis=1), block.min(axis=1)
+    return analysis._block_prominences(block, rows, cols, peak, top, bottom)
 
 
 def reference_extract_peaks(tmap, min_prominence):
@@ -234,7 +245,7 @@ class TestProminences:
         y = np.array(values, dtype=float)
         maxima = _local_maxima(y)
         expected = [reference_prominence(y, i) for i in maxima]
-        assert analysis._prominences(y, maxima, y.max(), y.min()).tolist() == expected
+        assert row_prominences(y, maxima).tolist() == expected
         # the threshold and the tie-break around it
         tmap = ac.TransmissionMap([0.1], np.arange(y.size, dtype=float), y[None, :])
         assert ac.extract_peaks(tmap, min_prominence) == reference_extract_peaks(
@@ -279,7 +290,7 @@ class TestProminences:
             maxima = _local_maxima(y)
             at_top = y[maxima] == y.max()
             assert at_top.sum() == 1
-            proms = analysis._prominences(y, maxima, y.max(), y.min())
+            proms = row_prominences(y, maxima)
             # scipy walks to the column edges from a column maximum; this package
             # takes that peak's prominence as its height above the column minimum
             assert proms[at_top].tolist() == [y.max() - y.min()]
@@ -300,6 +311,91 @@ class TestProminences:
         expected = reference_extract_peaks(tmap, 0.2)
         assert peaks == expected
         assert repr(peaks) == repr(expected)  # also tells -0.0 from 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.integers(3, 30).flatmap(lambda n: st.lists(_rows(n), min_size=1, max_size=8)),
+        block_cells=st.sampled_from([1, 7, 40, 200]),
+    )
+    def test_small_blocks_bit_identical(self, values, block_cells):
+        # blocks of one or a few rows, and few enough cells that the peaks of a block
+        # are compared with its table a few at a time
+        y = np.array(values, dtype=float)
+        tmap = ac.TransmissionMap(np.arange(y.shape[0]), np.arange(y.shape[1]), y)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_BLOCK_CELLS", block_cells)
+            peaks = ac.extract_peaks(tmap, 0.25)
+        assert repr(peaks) == repr(reference_extract_peaks(tmap, 0.25))
+
+    def test_fine_axis_across_blocks_bit_identical(
+        self, spins, cavity, coupling, loss, monkeypatch
+    ):
+        fine = ac.synthesize_map(
+            np.linspace(0.2, 1.0, 9), ac.GridSpec(start=8.0, stop=15.0, step=0.0005).samples(),
+            spins, cavity, coupling, loss,
+        )
+        # blocks of two 14001-sample rows, so the oracle's walk stays affordable; the
+        # default block size spans blocks in test_maps_spanning_blocks_bit_identical
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", 2 * fine.values.shape[1])
+        for sigma_db, seed in [(0.2, 0), (0.2, 1), (0.2, 2), (0.2, 3), (0.2, 4), (2.0, 0)]:
+            tmap = ac.add_noise(fine, sigma_db, seed)
+            assert repr(ac.extract_peaks(tmap, 0.2)) == repr(reference_extract_peaks(tmap, 0.2))
+
+    def test_nearest_higher_sample_in_an_edge_column(self):
+        rows = np.array([
+            [5.0, 1.0, 3.0, 0.5, 2.0],  # the peak's higher sample on the left is column 0
+            [2.0, 0.5, 3.0, 1.0, 5.0],  # and on the right the last column
+            # nothing higher on one side, whose base, the higher one, is the edge column
+            [0.5, 1.0, 3.0, 0.2, 5.0],
+            [5.0, 0.2, 3.0, 1.0, 0.5],
+        ])
+        for y in rows:
+            assert row_prominences(y, np.array([2])).tolist() == [reference_prominence(y, 2)]
+        assert [row_prominences(y, np.array([2]))[0] for y in rows] == [2.0, 2.0, 2.5, 2.5]
+        tmap = ac.TransmissionMap(np.arange(4), np.arange(5), rows)
+        for min_prominence in (0.3, 0.45):
+            assert repr(ac.extract_peaks(tmap, min_prominence)) == repr(
+                reference_extract_peaks(tmap, min_prominence)
+            )
+
+    def test_far_side_span_ends_at_a_blocks_last_cell(self, monkeypatch):
+        # the peak at column 3 has no higher sample to its right, and its right base is
+        # the row's last cell: prominence 2 - max(0.5, 0) = 1.5, but 1 if that cell were missed
+        last = [1.0, 4.0, 0.5, 2.0, 1.0, 0.0]
+        other = [0.0, 1.0, 2.0, 4.0, 2.0, 1.0]
+        block = np.array([other, last])
+        cols = np.flatnonzero(block[1] >= 2.0)
+        proms = analysis._block_prominences(
+            block, np.ones_like(cols), cols, cols == 3, block.max(axis=1), block.min(axis=1)
+        )
+        assert proms.tolist() == [1.5]
+        # as the last row of each two-row block; threshold 1.2 keeps the peak only at 1.5
+        values = np.array([other, last, other, last])
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", 2 * values.shape[1])
+        tmap = ac.TransmissionMap(np.arange(4), np.arange(6), values)
+        peaks = ac.extract_peaks(tmap, 0.3)
+        assert [len(c.positions) for c in peaks.columns] == [1, 2, 1, 2]
+        assert repr(peaks) == repr(reference_extract_peaks(tmap, 0.3))
+
+    def test_peak_memory_stays_within_one_block(self, spins, cavity, coupling, loss):
+        tmap = ac.add_noise(
+            ac.synthesize_map(
+                ac.GridSpec(start=0.0, stop=1.1, step=0.0035).samples(),
+                ac.GridSpec(start=8.0, stop=15.0, step=0.0005).samples(),
+                spins, cavity, coupling, loss,
+            ),
+            0.2,
+            0,
+        )
+        assert tmap.values.size >= 4 * analysis._BLOCK_CELLS
+        tracemalloc.start()
+        try:
+            ac.extract_peaks(tmap, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block of float64: no temporary grows with the map
+        assert peak <= analysis._BLOCK_CELLS * 8
 
 
 class TestFitAvoidedCrossing:

@@ -477,7 +477,11 @@ class TestExitCodes:
         pytest.param(["sweep"], {"noise_sigma_db": 1e4,
                                  "field_grid": {"start": 0.0, "stop": 0.1, "step": 0.05},
                                  "freq_grid": {"start": 8.0, "stop": 9.0, "step": 0.5}},
-                     "values must be finite and >= 0, got inf", id="noise-factor"),
+                     "noise_sigma_db: 10000.0 overflows the noise factor: values must be finite "
+                     "and >= 0, got inf", id="noise-factor"),
+        pytest.param(["sweep"], {"noise_sigma_db": 1e5},
+                     "noise_sigma_db: 100000.0 overflows the noise factor: values must be finite "
+                     "and >= 0, got inf", id="noise-factor-default-grid"),
         # 1e15 samples: numpy refuses the allocation at once, so nothing is allocated
         pytest.param(["sweep"], {"field_grid": {"start": 0.0, "stop": 1.0, "step": 1e-15}},
                      "Unable to allocate", id="grid-too-large"),
