@@ -59,7 +59,7 @@ class PeakSet:
 
     def to_csv(self) -> str:
         rows = [(c.field, p, h) for c in self.columns for p, h in zip(c.positions, c.heights)]
-        return write_csv(["field_T,peak_GHz,height"], list(zip(*rows)))
+        return "".join(write_csv(["field_T,peak_GHz,height"], list(zip(*rows))))
 
 
 _BLOCK_CELLS = 1 << 20  # samples searched at once, so no temporary grows with the map

@@ -7,6 +7,7 @@ Every command is deterministic for a fixed config and seed.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -43,11 +44,12 @@ def _grid(args, axis: str, base: GridSpec) -> GridSpec:
     return replace(base, **{k: v for k, v in given.items() if v is not None})
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _emit(chunks, out: str | None) -> None:
+    """Write the strings of ``chunks`` in turn to ``out``, or else to stdout."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as f:
+        with contextlib.suppress(BrokenPipeError):  # a reader that stops early, as `| head` does
+            f.writelines(chunks)
+            f.flush()  # here, not at exit, where a failed flush prints an error and exits 120
 
 
 def _map_params(args):
@@ -80,7 +82,7 @@ def cmd_dispersion(args) -> int:
     if args.format == "json":
         keys = ("field_t", "lower_ghz", "upper_ghz", "beyond_spin_flop")
         payload = {"spin_flop_field_t": flop, **dict(zip(keys, columns))}
-        _emit(spectra.write_json(payload), args.out)
+        _emit([spectra.write_json(payload)], args.out)
     else:
         header = [f"# spin_flop_field_T={flop!r}", "field_T,lower_GHz,upper_GHz,beyond_spin_flop"]
         _emit(spectra.write_csv(header, columns), args.out)
@@ -134,7 +136,7 @@ def cmd_fit(args) -> int:
         loss.magnon_linewidth,
     )
     payload["regime"] = {"label": regime.label, "ratio": regime.ratio}
-    _emit(spectra.write_json(payload), args.out)
+    _emit([spectra.write_json(payload)], args.out)
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
@@ -166,7 +168,7 @@ def cmd_linewidth(args) -> int:
         except ValueError:
             corrected = None
         payload["magnon_corrected_ghz"] = corrected
-    _emit(spectra.write_json(payload), args.out)
+    _emit([spectra.write_json(payload)], args.out)
     return EXIT_OK
 
 
@@ -178,7 +180,7 @@ def cmd_trend(args) -> int:
         exponent_free=args.free_exponent,
         temperature_unit=args.t_unit,
     )
-    _emit(fit.to_json(), args.out)
+    _emit([fit.to_json()], args.out)
     return EXIT_OK
 
 
@@ -195,7 +197,7 @@ def cmd_phase_map(args) -> int:
             "temperature_k": temps,
             "phase": labels,
         }
-        _emit(spectra.write_json(payload), args.out)
+        _emit([spectra.write_json(payload)], args.out)
     else:
         header = [f"# {note}", "field_T,temperature_K,phase"]
         _emit(spectra.write_csv(header, [labels], grid=(fields, temps)), args.out)

@@ -84,7 +84,7 @@ def levenberg_marquardt(
         if np.linalg.norm(step) <= STEP_TOL * (np.linalg.norm(x) + STEP_TOL):
             message = "parameter step below tolerance"
 
-    message = message or ("gradient below tolerance" if converged else "maximum iterations reached")
+    message = "gradient below tolerance" if converged else message or "maximum iterations reached"
     return LMResult(
         x=x,
         residual=r,

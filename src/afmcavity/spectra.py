@@ -268,26 +268,26 @@ def _rows_text(rows) -> str:
     return "\n".join([*map(",".join, rows), ""])
 
 
-def write_csv(header, columns, grid=()) -> str:
-    """CSV text: the ``header`` lines verbatim, then the columns' comma-joined rows.
+def write_csv(header, columns, grid=()):
+    """CSV text, yielded a block at a time: the ``header`` lines verbatim, then the
+    columns' comma-joined rows.
 
     Columns hold Python floats, ints or strings; a float is written as its
     repr (``str`` of a Python float), so a read-back reproduces it bit for
     bit.  ``grid=(outer, inner)`` leads each row with its coordinates,
     outer-major; each axis value is formatted once, and each column holds one
-    row of cells per outer value.  Rows are joined a block at a time (one
-    outer value, else 4096 rows), never as a list of every row.
+    row of cells per outer value.  A block is the header, then the rows of one
+    outer value, else of 4096 rows; a caller joins the blocks or writes them out.
     """
-    blocks = ["\n".join([*header, ""])]
+    yield "\n".join([*header, ""])
     if grid:
         outer, inner = ([str(v) for v in axis] for axis in grid)
         for key, *cells in zip(outer, *columns):
-            blocks.append(_rows_text(zip(repeat(key), inner, *[map(str, c) for c in cells])))
+            yield _rows_text(zip(repeat(key), inner, *[map(str, c) for c in cells]))
     else:
         rows = zip(*[map(str, c) for c in columns])
         while block := _rows_text(islice(rows, 4096)):
-            blocks.append(block)
-    return "".join(blocks)
+            yield block
 
 
 def write_json(obj) -> str:
@@ -309,9 +309,12 @@ def _text_lines(text: str):
     return chain.from_iterable(text[a:b].splitlines() for a, b in pairwise(cuts))
 
 
-def _data_rows(lines, start: int):
-    """(file line number, line) of each line that is neither blank nor a ``#`` comment."""
-    return ((n, line) for n, line in enumerate(lines, start) if line.lstrip()[:1] not in ("", "#"))
+def _data_lines(lines, start: int, last: list):
+    """Each of ``lines``, numbered from file line ``start``, that is neither blank nor a
+    ``#`` comment; ``last`` holds the number and text of the line read last."""
+    for last[0], last[1] in enumerate(lines, start):
+        if last[1].lstrip()[:1] not in ("", "#"):
+            yield last[1]
 
 
 def read_csv(lines, ncols: int, start: int) -> np.ndarray:
@@ -321,13 +324,8 @@ def read_csv(lines, ncols: int, start: int) -> np.ndarray:
     blank and ``#`` lines are skipped.  A malformed row raises ValueError
     naming its file line.
     """
-    last = [start, ""]  # file line number and text of the row loadtxt read last
-
-    def data_lines():
-        for last[0], last[1] in _data_rows(lines, start):
-            yield last[1]
-
-    rows = data_lines()
+    last = [start, ""]
+    rows = _data_lines(lines, start, last)
     first = next(rows, None)
     if first is None:
         raise ValueError(f"line {start}: no data rows")
@@ -351,7 +349,8 @@ def map_to_csv(tmap: TransmissionMap, db: bool = False) -> str:
         with np.errstate(divide="ignore"):
             values = 10.0 * np.log10(values)
     grid = (tmap.field_axis.tolist(), tmap.freq_axis.tolist())
-    return write_csv([CSV_HEADER_DB if db else CSV_HEADER], [map(np.ndarray.tolist, values)], grid)
+    header = [CSV_HEADER_DB if db else CSV_HEADER]
+    return "".join(write_csv(header, [map(np.ndarray.tolist, values)], grid))
 
 
 def map_from_csv(text: str) -> TransmissionMap:
@@ -365,10 +364,10 @@ def map_from_csv(text: str) -> TransmissionMap:
     data = read_csv(lines, 3, start=2)
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1) | (data[:, 2] < 0))
     if bad.size:
-        rows = _data_rows(islice(_text_lines(text), 1, None), 2)
-        lineno, line = next(islice(rows, int(bad[0]), None))
+        last = [1, ""]  # the header is a ``#`` line, so the walk may start at line 1
+        next(islice(_data_lines(_text_lines(text), 1, last), int(bad[0]), None))
         raise ValueError(
-            f"line {lineno}: expected finite numbers and a transmission >= 0, got {line!r}"
+            f"line {last[0]}: expected finite numbers and a transmission >= 0, got {last[1]!r}"
         )
     field_axis, i = np.unique(data[:, 0], return_inverse=True)
     freq_axis, j = np.unique(data[:, 1], return_inverse=True)

@@ -426,6 +426,20 @@ class TestFitAvoidedCrossing:
             assert report.value_of("big_g") == pytest.approx(1.72, rel=0.01)
             assert report.value_of("f_afmr0") == pytest.approx(34.0, rel=0.01)
 
+    def test_converged_fit_names_the_gradient_test(self):
+        # The README set-up at seed 1: a step below tolerance, then the gradient test passes
+        # on the next pass; the message names the test that decided convergence.
+        cfg = ac.RunConfig()
+        tmap = ac.synthesize_map(
+            cfg.field_grid.samples(), cfg.freq_grid.samples(),
+            cfg.spins, cfg.cavity, cfg.coupling, cfg.loss,
+        )
+        peaks = ac.extract_peaks(ac.add_noise(tmap, 0.2, 1), min_prominence=0.2)
+        report = ac.fit_avoided_crossing(peaks, cfg.spins, cfg.cavity, free=("big_g", "f_afmr0"))
+        assert report.converged
+        assert report.gradient_norm < optimize.GRADIENT_TOL
+        assert report.message == "gradient below tolerance"
+
     def test_window_past_spin_flop_sees_bare_cavity(self, spins, cavity, coupling, loss):
         # map columns past the spin-flop field hold the bare cavity; the fit models them so
         field_axis = ac.GridSpec(start=0.0, stop=1.5, step=0.005).samples()
@@ -717,6 +731,11 @@ class TestFieldLinewidth:
         # the polariton line mixes in cavity damping; agreement is loose
         assert gamma_f == pytest.approx(0.035, rel=0.2)
 
+    @pytest.mark.parametrize("cut", [[], [(0.6, 1.0, 2.0)], [0.6, 0.7]])
+    def test_malformed_pairs_named(self, cut):
+        with pytest.raises(ValueError, match=r"^cut must be a sequence of \(field, power\) pairs$"):
+            ac.field_linewidth(cut)
+
     def test_coarse_field_grid_named_error(self, default_map):
         # the 5 mT sweep grid cannot resolve a ~1.3 mT polariton line:
         # the failure mode must be named, not silently mis-fit
@@ -836,6 +855,18 @@ class TestTrendFit:
             ac.fit_t4_trend([(0.3, 1.0), (0.5, float("nan"))], sign="+")
         with pytest.raises(ValueError, match="sign"):
             ac.fit_t4_trend([(0.5, 1.0), (0.7, 2.0)], sign="*")
+
+    @pytest.mark.parametrize("points", [[], [(0.5, 1.0, 2.0)], [0.5, 0.7]])
+    def test_malformed_points_named(self, points):
+        with pytest.raises(ValueError, match=r"^points must be \(temperature, value\) pairs$"):
+            ac.fit_t4_trend(points)
+
+    def test_unknown_unit_and_sign_rejected(self):
+        with pytest.raises(ValueError, match="^temperature_unit must be 'K' or 'mK', got 'C'$"):
+            ac.fit_t4_trend([(0.5, 1.0), (0.7, 2.0)], temperature_unit="C")
+        with pytest.raises(ValueError, match="^sign must be '\\+' or '-', got 'x'$"):
+            analysis.TrendFit(offset=1.0, coefficient=1.0, exponent=4.0, sign="x",
+                              residual_rms=0.0)
 
     def test_unphysical_trends_rejected(self):
         t = np.linspace(0.5, 1.5, 9)

@@ -4,8 +4,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import sys
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -185,6 +188,12 @@ class TestFit:
         assert main(["fit", str(sweep_map), "--window", window]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_decreasing_window_exit_2(self, sweep_map, capsys):
+        assert main(["fit", str(sweep_map), "--window", "1:0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: window must be an increasing interval, got (1.0, 0.0)\n"
+        )
+
     def test_missing_map_exit_2(self, capsys):
         assert main(["fit", "/nonexistent/map.csv"]) == 2
 
@@ -239,6 +248,20 @@ class TestLinewidth:
             payload["gamma_tesla"] * payload["conversion_ghz_per_tesla"], rel=1e-12
         )
         assert payload["magnon_corrected_ghz"] == pytest.approx(0.035, rel=0.01)
+
+    def test_correction_without_a_magnon_branch_is_null(self, fine_map, tmp_path, capsys):
+        # the sidecar's model (G = 0, magnon at 5 GHz) gives the cut's upper branch no magnon
+        # content, so there is no linewidth to correct
+        meta = json.loads(spectra.sidecar_path(fine_map).read_text())
+        meta["coupling"]["big_g"] = 0
+        meta["spins"]["f_afmr0"] = 5
+        copy = tmp_path / "fine.csv"
+        copy.write_bytes(fine_map.read_bytes())
+        spectra.sidecar_path(copy).write_text(json.dumps(meta))
+        assert main(["linewidth", str(copy), "--freq", "15.6"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["gamma_tesla"] > 0
+        assert payload["magnon_corrected_ghz"] is None
 
     def test_frequency_outside_grid_exit_2(self, fine_map, capsys):
         assert main(["linewidth", str(fine_map), "--freq", "20.0"]) == 2
@@ -412,6 +435,36 @@ class TestPhaseMap:
         # a --t-* flag replaces only its own part of the config grid
         assert main([*argv, "--t-max", "0.75"]) == 0
         assert json.loads(capsys.readouterr().out)["temperature_k"] == [0.5, 0.75]
+
+    def test_streamed_file_peak_memory_below_its_size(self, tmp_path):
+        # The table goes to the file a block at a time, never as one string.
+        out = tmp_path / "phases.csv"
+        argv = ["phase-map", "--b-step", "0.005", "--t-step", "0.005", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        assert size > 9_000_000
+        assert peak < size, peak / size
+
+    def test_stdout_and_file_bytes_match(self, tmp_path, capsys):
+        out = tmp_path / "phases.csv"
+        argv = ["phase-map", "--b-step", "0.1", "--t-step", "0.1"]
+        assert main(argv) == 0
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    def test_reader_that_stops_early_ends_output_quietly(self, monkeypatch, capsys):
+        # as under `afmcavity phase-map | head -1`: the table outgrows the pipe's reader
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as closed_pipe, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", closed_pipe)
+            assert main(["phase-map"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_degenerate_grid_header_only(self, capsys):
         code = main(["phase-map", "--b-min", "1", "--b-max", "0", "--b-step", "0.5"])

@@ -70,6 +70,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="noise_sigma_db: int too large"):
             RunConfig.from_dict({"noise_sigma_db": 10**400})
 
+    def test_non_numeric_noise_rejected(self):
+        with pytest.raises(ConfigError, match="^noise_sigma_db: expected a number, got 'x'$"):
+            RunConfig.from_dict({"noise_sigma_db": "x"})
+
     def test_loss_derived_from_cavity_when_omitted(self):
         cfg = RunConfig.from_dict({"cavity": {"quality_factor": 650.0}})
         assert cfg.loss.cavity_total_linewidth == pytest.approx(11.245 / 650.0)

@@ -99,6 +99,31 @@ def test_converged_implies_gradient_below_tolerance():
             assert result.gradient_norm < optimize.GRADIENT_TOL
 
 
+def test_two_dimensional_residual_rejected():
+    fun = lambda x: np.zeros((2, 2))
+    with pytest.raises(ValueError, match="^residual function must return a 1-D vector$"):
+        optimize.levenberg_marquardt(fun, [0.0], jac=lambda x: np.ones((4, 1)))
+
+
+def test_singular_solve_retried_with_more_damping(monkeypatch):
+    solve = np.linalg.solve
+    calls = []
+
+    def fails_once(a, b):
+        calls.append(a.copy())
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", fails_once)
+    fun = lambda x: np.array([x[0] - 3.0, x[1] + 2.0])
+    result = optimize.levenberg_marquardt(fun, [0.0, 0.0], jac=lambda x: np.eye(2))
+    assert result.converged
+    assert result.x == pytest.approx([3.0, -2.0], abs=1e-9)
+    # the retry solves the same normal equations with ten times the damping: 1 + 10λ
+    assert calls[1] == pytest.approx(10 * calls[0] - 9 * np.eye(2), rel=1e-12)
+
+
 def test_covariance_uncertainties():
     # y = a*t with unit-variance residuals: var(a) = sigma^2 / sum(t^2)
     t = np.linspace(1, 5, 50)
