@@ -188,7 +188,7 @@ def cmd_phase_map(args) -> int:
     cfg = load_config(args.config)
     fields = _grid(args, "b", PHASE_FIELD_GRID).samples().tolist()
     temps = _grid(args, "t", cfg.temperature_grid).samples().tolist()
-    labels = phase.phase_grid(fields, temps, cfg.boundaries)
+    labels = phase.phase_grid(fields, temps, cfg.boundaries, cfg.spins)
     note = "boundary shapes are approximate parametrized curves"
     if args.format == "json":
         payload = {

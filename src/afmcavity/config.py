@@ -34,9 +34,11 @@ class GridSpec:
     def __post_init__(self):
         try:
             checked("grid step", self.step, 0.0, strict=True)
-            checked("grid (stop - start) / step", (self.stop - self.start) / self.step)
+            steps = checked("grid (stop - start) / step", (self.stop - self.start) / self.step)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if not steps < np.iinfo(np.intp).max / 8:  # numpy sizes a float64 axis's bytes in intp
+            raise ConfigError(f"grid of {steps + 1:.4g} samples is too large to index")
 
     def samples(self) -> np.ndarray:
         """Points start, start+step, ... up to stop (inclusive within rounding)."""

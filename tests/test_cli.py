@@ -22,6 +22,8 @@ import afmcavity as ac
 from afmcavity import config, spectra
 from afmcavity.cli import main
 
+DEFAULT_FLOP = ac.spin_flop_field(ac.SpinSystemParams())  # tesla
+
 
 @pytest.fixture(scope="module")
 def sweep_config(tmp_path_factory):
@@ -98,6 +100,10 @@ class TestSweep:
         meta = json.loads(sweep_map.with_suffix(".json").read_text())
         restored = ac.RunConfig.from_dict(meta["config"])
         assert restored == ac.load_config(sweep_config)
+        # the anchors of the phase diagram are recorded once, under "spins"
+        assert sorted(meta["config"]["boundaries"]) == [
+            "critical_field", "neel_exponent", "saturation_field", "spin_flop_exponent"
+        ]
 
     def test_zero_coupling_map_constant_columns(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -436,6 +442,24 @@ class TestPhaseMap:
         assert main([*argv, "--t-max", "0.75"]) == 0
         assert json.loads(capsys.readouterr().out)["temperature_k"] == [0.5, 0.75]
 
+    def test_spin_system_moves_the_spin_flop_boundary(self, tmp_path, capsys):
+        # at f_afmr0 = 20 GHz the 0 K boundary sits at dispersion's spin-flop field,
+        # 0.714 T, where the default spin system puts it at 1.215 T
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"spins": {"f_afmr0": 20}}))
+        assert main(["dispersion", "--config", str(cfg), "--b-max", "0"]) == 0
+        flop = float(capsys.readouterr().out.splitlines()[0].removeprefix("# spin_flop_field_T="))
+        assert flop == ac.spin_flop_field(ac.SpinSystemParams(f_afmr0=20.0))
+        assert flop == pytest.approx(0.714, abs=5e-4)
+        for b, label in ((np.nextafter(flop, 0.0), "antiferromagnetic"), (flop, "spin-flop")):
+            field = repr(float(b))
+            argv = ["phase-map", "--config", str(cfg), "--b-min", field, "--b-max", field,
+                    "--b-step", "1", "--t-max", "0"]
+            assert main(argv) == 0
+            assert capsys.readouterr().out.splitlines()[2:] == [f"{field},0.0,{label}"]
+        assert main(["phase-map", "--config", str(cfg), "--b-step", "0.05", "--t-max", "0"]) == 0
+        assert "0.75,0.0,spin-flop" in capsys.readouterr().out.splitlines()
+
     def test_streamed_file_peak_memory_below_its_size(self, tmp_path):
         # The table goes to the file a block at a time, never as one string.
         out = tmp_path / "phases.csv"
@@ -523,6 +547,17 @@ class TestExitCodes:
                      "boundaries: critical_field ** neel_exponent", id="neel-exponent"),
         pytest.param(["phase-map"], {"boundaries": {"critical_field": 1e-300}},
                      "boundaries: critical_field ** neel_exponent", id="critical-field"),
+        pytest.param(["phase-map"], {"boundaries": {"neel_temperature": 1.0}},
+                     "unknown key: boundaries.neel_temperature\n", id="neel-temperature-key"),
+        pytest.param(["phase-map"], {"boundaries": {"spin_flop_field": 1.0}},
+                     "unknown key: boundaries.spin_flop_field\n", id="spin-flop-field-key"),
+        # the spin-flop wedge needs the spin system's spin-flop field below saturation
+        pytest.param(["phase-map"], {"spins": {"f_afmr0": 80}},
+                     f"spin-flop field ({ac.spin_flop_field(ac.SpinSystemParams(f_afmr0=80))!r}) "
+                     "must be below saturation_field (2.5)\n", id="spin-flop-above-saturation"),
+        pytest.param(["phase-map"], {"boundaries": {"saturation_field": DEFAULT_FLOP}},
+                     f"spin-flop field ({DEFAULT_FLOP!r}) must be below "
+                     f"saturation_field ({DEFAULT_FLOP!r})\n", id="spin-flop-at-saturation"),
         pytest.param(["phase-map", "--b-step", "1e-320"], {}, "grid (stop - start) / step",
                      id="b-step"),
         pytest.param(["dispersion"], {"field_grid": {"start": 0.0, "stop": 1e9, "step": 1e-300}},
@@ -542,6 +577,17 @@ class TestExitCodes:
                      id="b-step-too-large"),
         pytest.param(["phase-map", "--t-step", "1e-15"], {}, "Unable to allocate",
                      id="t-step-too-large"),
+        # past 2**60 samples numpy cannot index a float64 axis's bytes
+        pytest.param(["sweep"], {"field_grid": {"start": 0, "stop": 1, "step": 1e-300}},
+                     "field_grid: grid of 1e+300 samples is too large to index",
+                     id="field-grid-past-index"),
+        pytest.param(["phase-map"], {"temperature_grid": {"start": 0, "stop": 1, "step": 1e-300}},
+                     "temperature_grid: grid of 1e+300 samples is too large to index",
+                     id="temperature-grid-past-index"),
+        pytest.param(["phase-map", "--b-step", "1e-300"], {},
+                     "grid of 3e+300 samples is too large to index", id="b-step-past-index"),
+        pytest.param(["dispersion", "--b-step", "1e-300"], {},
+                     "grid of 1.1e+300 samples is too large to index", id="dispersion-past-index"),
         pytest.param(["sweep"], {"seed": -1}, "seed: expected an integer >= 0, got -1",
                      id="negative-seed"),
         pytest.param(["sweep"], {"seed": -1, "noise_sigma_db": 0.2},

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import afmcavity as ac
@@ -25,6 +26,14 @@ class TestGridSpec:
         for start, stop, step in ((0.0, 1.0, 1e-320), (float("nan"), 1.0, 0.1), (-1e308, 1e308, 1)):
             with pytest.raises(ConfigError, match=r"grid \(stop - start\) / step must be finite"):
                 GridSpec(start=start, stop=stop, step=step)
+
+    def test_too_many_samples_to_index(self):
+        # numpy sizes an array's bytes in intp: a float64 axis of 2**60 steps passes that range
+        limit = np.iinfo(np.intp).max / 8
+        assert GridSpec(start=0.0, stop=np.nextafter(limit, 0.0), step=1.0).step == 1.0
+        for stop, step in ((limit, 1.0), (1.0, 1e-300)):
+            with pytest.raises(ConfigError, match="samples is too large to index"):
+                GridSpec(start=0.0, stop=stop, step=step)
 
 
 class TestRunConfig:

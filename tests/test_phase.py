@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import afmcavity as ac
 from afmcavity import phase
+from afmcavity.constants import GHZ_PER_TESLA_PER_G
 
 
 @pytest.fixture(scope="module")
@@ -15,24 +16,47 @@ def bounds():
 
 
 class TestBoundaries:
-    def test_defaults_anchor_to_dispersion_model(self, spins, bounds):
-        assert bounds.spin_flop_field == ac.spin_flop_field(spins)
-        assert bounds.neel_temperature == spins.neel_temperature
+    def test_defaults_anchor_to_dispersion_model(self, spins):
+        assert ac.spin_flop_boundary(0.0) == ac.spin_flop_field(spins)
+        below_neel = float(np.nextafter(spins.neel_temperature, 0.0))
+        assert ac.classify_phase(0.0, below_neel) == ac.ANTIFERROMAGNETIC
+        assert ac.classify_phase(0.0, spins.neel_temperature) == ac.PARAMAGNETIC
+
+    def test_spin_system_moves_the_anchors(self, bounds):
+        # f_afmr0 = 20 GHz: the 0 K spin-flop field is 0.714 T, not the default 1.215 T
+        spins = ac.SpinSystemParams(f_afmr0=20.0, neel_temperature=1.5)
+        flop = ac.spin_flop_field(spins)
+        assert flop == pytest.approx(0.714, abs=5e-4)
+        assert ac.spin_flop_boundary(0.0, bounds, spins) == flop
+        assert ac.classify_phase(flop, 0.0, spins=spins) == ac.SPIN_FLOP
+        assert ac.classify_phase(float(np.nextafter(flop, 0.0)), 0.0, spins=spins) == (
+            ac.ANTIFERROMAGNETIC
+        )
+        assert ac.classify_phase(0.75, 0.0, bounds, spins) == ac.SPIN_FLOP
+        assert ac.classify_phase(0.75, 0.0, bounds) == ac.ANTIFERROMAGNETIC
+        assert ac.phase_grid([0.0], [1.4, 1.5], bounds, spins) == [
+            [ac.ANTIFERROMAGNETIC, ac.PARAMAGNETIC]
+        ]
+        assert ac.phase_grid([0.0], [1.5], bounds) == [[ac.ANTIFERROMAGNETIC]]
 
     def test_invariants(self):
         with pytest.raises(ValueError):
-            ac.PhaseBoundaries(neel_temperature=-1.0)
+            ac.SpinSystemParams(neel_temperature=-1.0)
+        # a spin-flop field of 2.0006 T past a saturation field of 1.5 T
+        strong = ac.SpinSystemParams(f_afmr0=56.0)
         with pytest.raises(ValueError, match="saturation"):
-            ac.PhaseBoundaries(spin_flop_field=2.0, saturation_field=1.5)
+            ac.classify_phase(0.0, 0.0, ac.PhaseBoundaries(saturation_field=1.5), strong)
+        with pytest.raises(ValueError, match="saturation"):
+            ac.phase_grid([0.0], [0.0], ac.PhaseBoundaries(saturation_field=1.5), strong)
         # critical_field ** neel_exponent overflows or underflows
         for kwargs in ({"neel_exponent": 1e300}, {"critical_field": 1e-300}):
             with pytest.raises(ValueError, match="critical_field \\*\\* neel_exponent"):
                 ac.PhaseBoundaries(**kwargs)
 
-    def test_neel_line_zero_past_critical_field(self, bounds):
+    def test_neel_line_zero_past_critical_field(self, spins, bounds):
         # (b / critical_field) ** neel_exponent would overflow a Python float here
         for b in (bounds.critical_field, 3.0, 1e300):
-            assert phase.neel_temperature_at(b, bounds) == 0.0
+            assert phase.neel_temperature_at(b, bounds, spins) == 0.0
 
 
 class TestClassify:
@@ -48,11 +72,11 @@ class TestClassify:
     def test_very_high_field_is_paramagnetic(self, bounds):
         assert ac.classify_phase(2.8, 0.025, bounds) == ac.PARAMAGNETIC
 
-    def test_boundary_points_take_higher_symmetry_phase(self, bounds):
+    def test_boundary_points_take_higher_symmetry_phase(self, spins, bounds):
         t = 0.4
         b_sf = ac.spin_flop_boundary(t, bounds)
         assert ac.classify_phase(b_sf, t, bounds) == ac.SPIN_FLOP
-        assert ac.classify_phase(0.0, bounds.neel_temperature, bounds) == ac.PARAMAGNETIC
+        assert ac.classify_phase(0.0, spins.neel_temperature, bounds) == ac.PARAMAGNETIC
 
     def test_rejects_bad_inputs(self, bounds):
         with pytest.raises(ValueError):
@@ -60,22 +84,22 @@ class TestClassify:
         with pytest.raises(ValueError):
             ac.classify_phase(0.1, -1.0, bounds)
 
-    def test_zero_field_scan_changes_once(self, bounds):
+    def test_zero_field_scan_changes_once(self, spins, bounds):
         temps = np.linspace(0.0, 3.0, 1201)
         labels = [ac.classify_phase(0.0, float(t), bounds) for t in temps]
         changes = sum(1 for a, b in zip(labels, labels[1:]) if a != b)
         assert changes == 1
         flip = next(i for i in range(len(labels) - 1) if labels[i] != labels[i + 1])
-        assert temps[flip + 1] >= bounds.neel_temperature - 0.01
-        assert temps[flip] <= bounds.neel_temperature
+        assert temps[flip + 1] >= spins.neel_temperature - 0.01
+        assert temps[flip] <= spins.neel_temperature
 
     @given(
         t_frac=st.floats(0.0, 0.99),
         b_start=st.floats(0.0, 0.5),
     )
     @settings(max_examples=100)
-    def test_fixed_temperature_scan_ordered(self, bounds, t_frac, b_start):
-        t = t_frac * bounds.neel_temperature
+    def test_fixed_temperature_scan_ordered(self, spins, bounds, t_frac, b_start):
+        t = t_frac * spins.neel_temperature
         fields = np.linspace(b_start, 3.0, 400)
         labels = [ac.classify_phase(float(b), t, bounds) for b in fields]
         order = {ac.ANTIFERROMAGNETIC: 0, ac.SPIN_FLOP: 1, ac.PARAMAGNETIC: 2}
@@ -92,18 +116,18 @@ class TestSpinFlopBoundary:
         b0 = ac.spin_flop_boundary(0.0, bounds)
         assert ac.spin_flop_boundary(0.025, bounds) == pytest.approx(b0, rel=0.01)
 
-    def test_monotone_non_increasing(self, bounds):
-        temps = np.linspace(0.0, bounds.neel_temperature * 0.999, 300)
+    def test_monotone_non_increasing(self, spins, bounds):
+        temps = np.linspace(0.0, spins.neel_temperature * 0.999, 300)
         values = [ac.spin_flop_boundary(float(t), bounds) for t in temps]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
-    def test_continuous_up_to_ordering_temperature(self, bounds):
-        t_near = bounds.neel_temperature * (1 - 1e-9)
+    def test_continuous_up_to_ordering_temperature(self, spins, bounds):
+        t_near = spins.neel_temperature * (1 - 1e-9)
         assert ac.spin_flop_boundary(t_near, bounds) == pytest.approx(0.0, abs=1e-6)
 
-    def test_rejects_temperatures_at_or_above_ordering(self, bounds):
+    def test_rejects_temperatures_at_or_above_ordering(self, spins, bounds):
         with pytest.raises(ValueError):
-            ac.spin_flop_boundary(bounds.neel_temperature, bounds)
+            ac.spin_flop_boundary(spins.neel_temperature, bounds)
         with pytest.raises(ValueError):
             ac.spin_flop_boundary(3.0, bounds)
         with pytest.raises(ValueError):
@@ -125,11 +149,11 @@ class TestPathMonotonicity:
             assert changes <= 2
             assert all(a <= c for a, c in zip(ranks, ranks[1:]))
 
-    def test_wedge_is_well_ordered(self, bounds):
+    def test_wedge_is_well_ordered(self, spins, bounds):
         # the spin-flop wedge must sit strictly inside the ordered region
-        for t in np.linspace(0.0, bounds.neel_temperature * 0.999, 500):
+        for t in np.linspace(0.0, spins.neel_temperature * 0.999, 500):
             assert ac.spin_flop_boundary(float(t), bounds) <= phase.paramagnetic_boundary(
-                float(t), bounds
+                float(t), bounds, spins
             )
 
 
@@ -146,21 +170,16 @@ class TestPhaseGrid:
         assert labels[0][0] == ac.ANTIFERROMAGNETIC
 
 
-def reference_phase(b, t, bd):
+def reference_phase(b, t, bd, spins):
     """Scalar classifier with its own copy of the three boundary curves."""
-    neel_line = bd.neel_temperature * max(
-        0.0, 1.0 - (b / bd.critical_field) ** bd.neel_exponent
-    )
+    neel, flop = spins.neel_temperature, ac.spin_flop_field(spins)
+    neel_line = neel * max(0.0, 1.0 - (b / bd.critical_field) ** bd.neel_exponent)
     if t >= neel_line:
         return ac.PARAMAGNETIC
-    saturation_line = bd.saturation_field * (1.0 - t / bd.neel_temperature) ** (
-        1.0 / bd.neel_exponent
-    )
+    saturation_line = bd.saturation_field * (1.0 - t / neel) ** (1.0 / bd.neel_exponent)
     if b >= saturation_line:
         return ac.PARAMAGNETIC
-    flop_line = bd.spin_flop_field * (
-        1.0 - (t / bd.neel_temperature) ** bd.spin_flop_exponent
-    )
+    flop_line = flop * (1.0 - (t / neel) ** bd.spin_flop_exponent)
     if b < flop_line:
         return ac.ANTIFERROMAGNETIC
     return ac.SPIN_FLOP
@@ -168,37 +187,42 @@ def reference_phase(b, t, bd):
 
 class TestPhaseKernelOracle:
     @staticmethod
-    def random_boundaries(rng):
-        flop = rng.uniform(0.2, 2.0)
-        return ac.PhaseBoundaries(
+    def random_phase_model(rng):
+        """Random anchors (spin system) and shapes (boundaries), spin-flop field 0.2-2.0 T."""
+        g_factor = rng.uniform(1.0, 3.0)
+        spins = ac.SpinSystemParams(
+            g_factor=g_factor,
+            f_afmr0=rng.uniform(0.2, 2.0) * g_factor * GHZ_PER_TESLA_PER_G,
             neel_temperature=rng.uniform(0.5, 5.0),
-            spin_flop_field=flop,
+        )
+        bd = ac.PhaseBoundaries(
             neel_exponent=rng.uniform(0.5, 4.0),
             critical_field=rng.uniform(0.5, 4.0),
-            saturation_field=flop * rng.uniform(1.05, 3.0),
+            saturation_field=ac.spin_flop_field(spins) * rng.uniform(1.05, 3.0),
             spin_flop_exponent=rng.uniform(0.5, 4.0),
         )
+        return bd, spins
 
     def test_matches_scalar_reference_on_and_off_boundaries(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
-            bd = self.random_boundaries(rng)
-            t_cold = rng.uniform(0.0, bd.neel_temperature, size=6)
+            bd, spins = self.random_phase_model(rng)
+            neel, flop = spins.neel_temperature, ac.spin_flop_field(spins)
+            t_cold = rng.uniform(0.0, neel, size=6)
             b_low = rng.uniform(0.0, bd.critical_field, size=6)
             # points placed exactly on each boundary curve, plus random points
-            points = [(0.0, bd.neel_temperature)]
+            points = [(0.0, neel)]
             for t in t_cold.tolist():
-                points.append((bd.spin_flop_field * (
-                    1.0 - (t / bd.neel_temperature) ** bd.spin_flop_exponent), t))
-                points.append((bd.saturation_field * (1.0 - t / bd.neel_temperature) ** (
+                points.append((flop * (1.0 - (t / neel) ** bd.spin_flop_exponent), t))
+                points.append((bd.saturation_field * (1.0 - t / neel) ** (
                     1.0 / bd.neel_exponent), t))
             for b in b_low.tolist():
-                points.append((b, bd.neel_temperature * max(
+                points.append((b, neel * max(
                     0.0, 1.0 - (b / bd.critical_field) ** bd.neel_exponent)))
             points += zip(rng.uniform(0.0, 4.0, 20).tolist(), rng.uniform(0.0, 6.0, 20).tolist())
             for b, t in points:
-                assert ac.classify_phase(b, t, bd) == reference_phase(b, t, bd)
+                assert ac.classify_phase(b, t, bd, spins) == reference_phase(b, t, bd, spins)
             fields = [b for b, _ in points]
             temps = [t for _, t in points]
-            grid = ac.phase_grid(fields, temps, bd)
-            assert grid == [[reference_phase(b, t, bd) for t in temps] for b in fields]
+            grid = ac.phase_grid(fields, temps, bd, spins)
+            assert grid == [[reference_phase(b, t, bd, spins) for t in temps] for b in fields]
