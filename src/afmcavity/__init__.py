@@ -28,7 +28,6 @@ from .core import (
     CouplingParams,
     RegimeReport,
     SpinSystemParams,
-    collective_coupling,
     coupling_regime,
     crossing_field,
     magnon_branches,
@@ -85,7 +84,6 @@ __all__ = [
     "VerticalCut",
     "add_noise",
     "classify_phase",
-    "collective_coupling",
     "coupling_regime",
     "crossing_field",
     "extract_peaks",

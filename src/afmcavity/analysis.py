@@ -312,6 +312,9 @@ def fit_avoided_crossing(
     x0 = np.array([baseline[name] for name in names])
     result = optimize.levenberg_marquardt(residual, x0, jac=jacobian)
     uncertainties = optimize.covariance_uncertainties(result.jacobian, result.residual)
+    unbounded = [name for name, u in zip(names, uncertainties) if not np.isfinite(u)]
+    if unbounded:
+        raise FitError(f"the peaks do not constrain {', '.join(unbounded)}: uncertainty overflows")
     fixed = {name: baseline[name] for name in PARAMETER_ORDER if name not in names}
     return FitReport(
         parameter_names=names,

@@ -21,6 +21,7 @@ EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 
 PHASE_FIELD_GRID = GridSpec(start=0.0, stop=3.0, step=0.05)  # tesla; phase-map's field axis
+GRID_FLAGS = {"start": "min", "stop": "max", "step": "step"}  # GridSpec part -> --{axis}-* flag
 
 
 def _io_flags(parser: argparse.ArgumentParser, config: bool = True, table: bool = False) -> None:
@@ -34,14 +35,21 @@ def _io_flags(parser: argparse.ArgumentParser, config: bool = True, table: bool 
 
 def _grid_flags(parser: argparse.ArgumentParser, axis: str, unit: str) -> None:
     """``--{axis}-min``, ``--{axis}-max`` and ``--{axis}-step``, with no defaults."""
-    for flag, part in (("min", "start"), ("max", "stop"), ("step", "step")):
+    for part, flag in GRID_FLAGS.items():
         parser.add_argument(f"--{axis}-{flag}", type=float, dest=f"{axis}_{part}", metavar=unit)
 
 
 def _grid(args, axis: str, base: GridSpec) -> GridSpec:
-    """``base`` with the parts given by the ``--{axis}-*`` flags laid over it."""
-    given = {part: getattr(args, f"{axis}_{part}") for part in ("start", "stop", "step")}
-    return replace(base, **{k: v for k, v in given.items() if v is not None})
+    """``base`` with the parts given by the ``--{axis}-*`` flags laid over it.
+
+    A grid the flags make invalid is a ``ConfigError`` that names those flags.
+    """
+    given = {part: v for part in GRID_FLAGS if (v := getattr(args, f"{axis}_{part}")) is not None}
+    try:
+        return replace(base, **given)
+    except ConfigError as exc:
+        named = ", ".join(f"--{axis}-{GRID_FLAGS[part]}" for part in given)
+        raise ConfigError(f"{named}: {exc}") from None
 
 
 def _emit(chunks, out: str | None) -> None:

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import asdict, dataclass, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
 
-from .core import CavityParams, CouplingParams, SpinSystemParams, checked, params_dict
+from .core import CavityParams, CouplingParams, SpinSystemParams, checked
 from .phase import PhaseBoundaries
 from .spectra import LossParams, write_json
 
@@ -103,10 +103,7 @@ class RunConfig:
         return cls(**sections, **{key: raw[key] for key in raw.keys() - _SECTION_TYPES})
 
     def to_dict(self) -> dict:
-        return {
-            name: params_dict(value) if name in _SECTION_TYPES else value
-            for name, value in vars(self).items()
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return write_json(self.to_dict())

@@ -9,8 +9,7 @@ here is pure and safe to call concurrently.
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,25 +70,13 @@ class CavityParams:
 
 @dataclass(frozen=True)
 class CouplingParams:
-    """Collective coupling strength, optionally decomposed into sqrt(N) * g_single."""
+    """Collective coupling strength G of the spin ensemble to the cavity."""
 
     big_g: float = 1.72  # GHz
-    n_spins: float | None = None
-    g_single: float | None = None  # GHz
 
     def __post_init__(self):
         big_g = checked("big_g", self.big_g, 0.0)
         checked("big_g²", big_g * big_g)
-        if self.n_spins is None and self.g_single is None:
-            return
-        if self.n_spins is None or self.g_single is None:
-            raise ValueError("n_spins and g_single must be given together")
-        expected = collective_coupling(self.n_spins, self.g_single)
-        scale = max(abs(self.big_g), abs(expected), 1e-300)
-        if abs(self.big_g - expected) > 1e-9 * scale:
-            raise ValueError(
-                f"big_g={self.big_g} inconsistent with sqrt(n_spins)*g_single={expected}"
-            )
 
 
 @dataclass(frozen=True)
@@ -110,11 +97,6 @@ class BranchPair:
         checked("upper", self.upper)
         if self.lower > self.upper:
             raise ValueError(f"lower={self.lower} exceeds upper={self.upper}")
-
-
-def params_dict(params) -> dict:
-    """Plain-dict form of a parameter dataclass, leaving out unset optional fields."""
-    return {name: value for name, value in asdict(params).items() if value is not None}
 
 
 def zeeman_branches(f_afmr0, g_factor, field):
@@ -217,9 +199,3 @@ def coupling_regime(
     else:
         label = "strong"
     return RegimeReport(label=label, ratio=ratio)
-
-
-def collective_coupling(n_spins: float, g_single: float) -> float:
-    """Ensemble coupling sqrt(N) * g_single (GHz)."""
-    root_n = math.sqrt(checked("n_spins", n_spins, 0.0))
-    return checked("sqrt(n_spins) * g_single", root_n * checked("g_single", g_single, 0.0))

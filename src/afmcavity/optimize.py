@@ -101,11 +101,14 @@ def covariance_uncertainties(jacobian: np.ndarray, residual: np.ndarray) -> np.n
     """One-sigma parameter uncertainties from the linearized covariance.
 
     Covariance is s² (JᵀJ)⁻¹ with s² the residual variance; with no residual
-    degrees of freedom the scale collapses to zero and so do the errors.
+    degrees of freedom the scale collapses to zero and so do the errors.  An
+    uncertainty past the float range (a Jacobian column of subnormal size) comes
+    back non-finite, without a warning.
     """
     n_obs, n_par = jacobian.shape
     dof = n_obs - n_par
     ssr = float(residual @ residual)
     variance = ssr / dof if dof > 0 else 0.0
-    cov = np.linalg.pinv(jacobian.T @ jacobian) * variance
-    return np.sqrt(np.maximum(np.diag(cov), 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = np.linalg.pinv(jacobian.T @ jacobian) * variance
+        return np.sqrt(np.maximum(np.diag(cov), 0.0))

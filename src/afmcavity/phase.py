@@ -24,32 +24,31 @@ PARAMAGNETIC = "paramagnetic"
 
 @dataclass(frozen=True)
 class PhaseBoundaries:
-    """Shapes of the three phase boundaries, anchored at the spin system's T_N(0) and B_sf(0).
+    """Shapes of the phase boundaries, anchored at the spin system's T_N(0) and B_sf(0).
 
-    The ordering (Neel) line is T_N(B) = T_N(0) * (1 - (B/B_c)^neel_exponent);
-    the spin-flop line B_sf(T) = B_sf(0) * (1 - (T/T_N(0))^spin_flop_exponent)
-    flattens at low temperature; the spin-flop region closes at the
-    saturation field as (1 - T/T_N(0))^(1/neel_exponent).
+    The ordering (Neel) line T_N(B) = T_N(0) * (1 - (B/B_sat)^neel_exponent)
+    bounds both ordered phases and reaches zero at the saturation field; the
+    spin-flop line B_sf(T) = B_sf(0) * (1 - (T/T_N(0))^spin_flop_exponent)
+    flattens at low temperature.
     """
 
     neel_exponent: float = 2.0
-    critical_field: float = 2.5  # T, where the Neel line reaches zero
-    saturation_field: float = 2.5  # T, spin-flop -> paramagnetic at T = 0
+    saturation_field: float = 2.5  # T, where the Neel line reaches zero
     spin_flop_exponent: float = 2.0
 
     def __post_init__(self):
         for name, value in vars(self).items():
             core.checked(name, value, 0.0, strict=True)
         with np.errstate(over="ignore"):  # extreme shapes leave the Neel line no float scale
-            scale = np.float64(self.critical_field) ** self.neel_exponent
-        core.checked("critical_field ** neel_exponent", scale, 0.0, strict=True)
+            scale = np.float64(self.saturation_field) ** self.neel_exponent
+        core.checked("saturation_field ** neel_exponent", scale, 0.0, strict=True)
 
 
 def neel_temperature_at(b: float, boundaries: PhaseBoundaries, spins: SpinSystemParams) -> float:
     """Ordering temperature at field ``b`` (kelvin, clipped at zero)."""
-    if b >= boundaries.critical_field:  # the power below is >= 1 there, and may overflow
+    if b >= boundaries.saturation_field:  # the power below is >= 1 there, and may overflow
         return 0.0
-    reduced = 1.0 - (b / boundaries.critical_field) ** boundaries.neel_exponent
+    reduced = 1.0 - (b / boundaries.saturation_field) ** boundaries.neel_exponent
     return spins.neel_temperature * max(0.0, reduced)
 
 
@@ -67,14 +66,6 @@ def spin_flop_boundary(t: float, boundaries=PhaseBoundaries(), spins=SpinSystemP
         )
     reduced = (t / spins.neel_temperature) ** boundaries.spin_flop_exponent
     return core.spin_flop_field(spins) * (1.0 - reduced)
-
-
-def paramagnetic_boundary(t: float, boundaries: PhaseBoundaries, spins: SpinSystemParams) -> float:
-    """Field where the spin-flop region gives way to the paramagnet (tesla)."""
-    if t >= spins.neel_temperature:
-        return 0.0
-    reduced = 1.0 - t / spins.neel_temperature
-    return boundaries.saturation_field * reduced ** (1.0 / boundaries.neel_exponent)
 
 
 _LABELS = np.array([ANTIFERROMAGNETIC, SPIN_FLOP, PARAMAGNETIC], dtype=object)
@@ -96,9 +87,7 @@ def _phase_labels(
     flop, saturation = core.spin_flop_field(spins), boundaries.saturation_field
     if not flop < saturation:
         raise ValueError(f"spin-flop field ({flop}) must be below saturation_field ({saturation})")
-    paramagnetic = (t >= _curve(neel_temperature_at, b, boundaries, spins)) | (
-        b >= _curve(paramagnetic_boundary, t, boundaries, spins)
-    )
+    paramagnetic = t >= _curve(neel_temperature_at, b, boundaries, spins)
     # at or above the zero-field ordering temperature every point is paramagnetic
     ordered_t = np.where(t < spins.neel_temperature, t, 0.0)
     antiferro = b < _curve(spin_flop_boundary, ordered_t, boundaries, spins)

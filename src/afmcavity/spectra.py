@@ -14,7 +14,7 @@ them; they are immutable after construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain, islice, pairwise, repeat
 from pathlib import Path
 
@@ -191,10 +191,10 @@ def synthesize_map(
     values.flags.writeable = False  # handed over without a copy
 
     metadata = {
-        "spins": core.params_dict(spins),
-        "cavity": core.params_dict(cavity),
-        "coupling": core.params_dict(coupling),
-        "loss": core.params_dict(loss),
+        "spins": asdict(spins),
+        "cavity": asdict(cavity),
+        "coupling": asdict(coupling),
+        "loss": asdict(loss),
         "spin_flop_field": core.spin_flop_field(spins),
         "beyond_spin_flop_fields": field_axis[clamped].tolist(),
     }

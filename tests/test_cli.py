@@ -102,7 +102,7 @@ class TestSweep:
         assert restored == ac.load_config(sweep_config)
         # the anchors of the phase diagram are recorded once, under "spins"
         assert sorted(meta["config"]["boundaries"]) == [
-            "critical_field", "neel_exponent", "saturation_field", "spin_flop_exponent"
+            "neel_exponent", "saturation_field", "spin_flop_exponent"
         ]
 
     def test_zero_coupling_map_constant_columns(self, tmp_path):
@@ -506,7 +506,9 @@ class TestExitCodes:
         assert "g_facto" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sidecar, expected", [
-        pytest.param("bogus-key", "spins.bogus", id="unknown-key"),
+        pytest.param({"spins": {"bogus": 1.0}}, "spins.bogus", id="unknown-key"),
+        pytest.param({"coupling": {"n_spins": 1e18}},
+                     "error: map sidecar: unknown key: coupling.n_spins\n", id="n-spins-key"),
         pytest.param("[1]", "{path}: expected a JSON object, got list", id="list-root"),
         pytest.param('"x"', "{path}: expected a JSON object, got str", id="string-root"),
         pytest.param("null", "{path}: expected a JSON object, got NoneType", id="null-root"),
@@ -516,9 +518,10 @@ class TestExitCodes:
         csv = tmp_path / "map.csv"
         csv.write_bytes(sweep_map.read_bytes())
         text = sweep_map.with_suffix(".json").read_text()
-        if sidecar == "bogus-key":
+        if isinstance(sidecar, dict):  # keys added to sections of the map's own sidecar
             meta = json.loads(text)
-            meta["spins"]["bogus"] = 1.0
+            for section, extra in sidecar.items():
+                meta[section].update(extra)
             sidecar = json.dumps(meta)
         elif sidecar == "truncated":
             sidecar = text[: len(text) // 2]
@@ -528,6 +531,17 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert expected.format(path=csv.with_suffix(".json")) in err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("f_afmr0, unbounded", [(1e155, "big_g"), (1e156, "big_g, f_afmr0")])
+    def test_unconstrained_fit_exit_2(self, sweep_map, tmp_path, f_afmr0, unbounded):
+        # a magnon 1e155 GHz away leaves subnormal Jacobian columns: the covariance overflows
+        csv = tmp_path / "map.csv"
+        csv.write_bytes(sweep_map.read_bytes())
+        csv.with_suffix(".json").write_text(json.dumps({"spins": {"f_afmr0": f_afmr0}}))
+        code, err = _main_quietly(["fit", str(csv), "--out", str(tmp_path / "fit.json")])
+        assert (code, err) == (
+            2, f"error: the peaks do not constrain {unbounded}: uncertainty overflows\n"
+        )
 
     @pytest.mark.parametrize("argv, raw, expected", [
         pytest.param(["sweep"], {"cavity": {"quality_factor": 1e-300}},
@@ -544,9 +558,11 @@ class TestExitCodes:
                                       "field_grid": {"start": 0.0, "stop": 1e10, "step": 1e9}},
                      "upper branch", id="upper-branch"),
         pytest.param(["phase-map"], {"boundaries": {"neel_exponent": 1e300}},
-                     "boundaries: critical_field ** neel_exponent", id="neel-exponent"),
-        pytest.param(["phase-map"], {"boundaries": {"critical_field": 1e-300}},
-                     "boundaries: critical_field ** neel_exponent", id="critical-field"),
+                     "boundaries: saturation_field ** neel_exponent", id="neel-exponent"),
+        pytest.param(["phase-map"], {"boundaries": {"saturation_field": 1e-300}},
+                     "boundaries: saturation_field ** neel_exponent", id="saturation-field"),
+        pytest.param(["phase-map"], {"boundaries": {"critical_field": 2.5}},
+                     "unknown key: boundaries.critical_field\n", id="critical-field"),
         pytest.param(["phase-map"], {"boundaries": {"neel_temperature": 1.0}},
                      "unknown key: boundaries.neel_temperature\n", id="neel-temperature-key"),
         pytest.param(["phase-map"], {"boundaries": {"spin_flop_field": 1.0}},
@@ -558,8 +574,8 @@ class TestExitCodes:
         pytest.param(["phase-map"], {"boundaries": {"saturation_field": DEFAULT_FLOP}},
                      f"spin-flop field ({DEFAULT_FLOP!r}) must be below "
                      f"saturation_field ({DEFAULT_FLOP!r})\n", id="spin-flop-at-saturation"),
-        pytest.param(["phase-map", "--b-step", "1e-320"], {}, "grid (stop - start) / step",
-                     id="b-step"),
+        pytest.param(["phase-map", "--b-step", "1e-320"], {},
+                     "--b-step: grid (stop - start) / step", id="b-step"),
         pytest.param(["dispersion"], {"field_grid": {"start": 0.0, "stop": 1e9, "step": 1e-300}},
                      "field_grid: grid (stop - start) / step", id="field-step"),
         pytest.param(["sweep"], {"noise_sigma_db": 1e4,
@@ -585,9 +601,11 @@ class TestExitCodes:
                      "temperature_grid: grid of 1e+300 samples is too large to index",
                      id="temperature-grid-past-index"),
         pytest.param(["phase-map", "--b-step", "1e-300"], {},
-                     "grid of 3e+300 samples is too large to index", id="b-step-past-index"),
+                     "--b-step: grid of 3e+300 samples is too large to index",
+                     id="b-step-past-index"),
         pytest.param(["dispersion", "--b-step", "1e-300"], {},
-                     "grid of 1.1e+300 samples is too large to index", id="dispersion-past-index"),
+                     "--b-step: grid of 1.1e+300 samples is too large to index",
+                     id="dispersion-past-index"),
         pytest.param(["sweep"], {"seed": -1}, "seed: expected an integer >= 0, got -1",
                      id="negative-seed"),
         pytest.param(["sweep"], {"seed": -1, "noise_sigma_db": 0.2},

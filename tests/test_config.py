@@ -120,16 +120,16 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="field_grid"):
             RunConfig.from_dict({"field_grid": {"start": 0.0, "stop": 1.0}})
 
-    def test_coupling_decomposition_accepted(self):
-        cfg = RunConfig.from_dict(
-            {"coupling": {"big_g": 1.0, "n_spins": 4.0, "g_single": 0.5}}
-        )
-        assert cfg.coupling.n_spins == 4.0
-
-    @pytest.mark.parametrize("partial", [{"n_spins": 4.0}, {"g_single": 0.5}])
+    # G alone is the coupling, and the saturation field alone ends the Neel line
+    @pytest.mark.parametrize("partial", [
+        {"coupling": {"big_g": 1.0, "n_spins": 4.0}},
+        {"coupling": {"big_g": 1.0, "g_single": 0.5}},
+        {"boundaries": {"critical_field": 2.5}},
+    ])
     def test_coupling_half_decomposition_rejected(self, partial):
-        with pytest.raises(ConfigError, match="coupling"):
-            RunConfig.from_dict({"coupling": {"big_g": 1.0, **partial}})
+        (section, keys), = partial.items()
+        with pytest.raises(ConfigError, match=f"^unknown key: {section}.{list(keys)[-1]}$"):
+            RunConfig.from_dict(partial)
 
 
 class TestLoadConfig:

@@ -1,5 +1,7 @@
 """Tests for the damped least-squares solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,15 @@ def test_covariance_zero_dof():
     residual = np.array([0.1, -0.2])
     sigma = optimize.covariance_uncertainties(jac, residual)
     assert np.all(sigma == 0.0)
+
+
+def test_covariance_subnormal_column_non_finite_without_warning():
+    # JᵀJ of a 1e-155 column is subnormal: its inverse times the variance leaves the float range
+    jac = np.array([[1e-155], [1e-155], [1e-155]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigma = optimize.covariance_uncertainties(jac, np.ones(3))
+    assert not np.isfinite(sigma[0])
 
 
 def _rosenbrock(x):

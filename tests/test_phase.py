@@ -1,12 +1,14 @@
 """Tests for the (field, temperature) phase classifier."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import afmcavity as ac
-from afmcavity import phase
+from afmcavity import cli, phase
 from afmcavity.constants import GHZ_PER_TESLA_PER_G
 
 
@@ -48,14 +50,15 @@ class TestBoundaries:
             ac.classify_phase(0.0, 0.0, ac.PhaseBoundaries(saturation_field=1.5), strong)
         with pytest.raises(ValueError, match="saturation"):
             ac.phase_grid([0.0], [0.0], ac.PhaseBoundaries(saturation_field=1.5), strong)
-        # critical_field ** neel_exponent overflows or underflows
-        for kwargs in ({"neel_exponent": 1e300}, {"critical_field": 1e-300}):
-            with pytest.raises(ValueError, match="critical_field \\*\\* neel_exponent"):
+        # saturation_field ** neel_exponent overflows or underflows
+        for kwargs in ({"neel_exponent": 1e300}, {"saturation_field": 1e-300}):
+            with pytest.raises(ValueError, match="saturation_field \\*\\* neel_exponent"):
                 ac.PhaseBoundaries(**kwargs)
 
     def test_neel_line_zero_past_critical_field(self, spins, bounds):
-        # (b / critical_field) ** neel_exponent would overflow a Python float here
-        for b in (bounds.critical_field, 3.0, 1e300):
+        # the Neel line's critical field is the saturation field;
+        # (b / saturation_field) ** neel_exponent would overflow a Python float here
+        for b in (bounds.saturation_field, 3.0, 1e300):
             assert phase.neel_temperature_at(b, bounds, spins) == 0.0
 
 
@@ -151,10 +154,8 @@ class TestPathMonotonicity:
 
     def test_wedge_is_well_ordered(self, spins, bounds):
         # the spin-flop wedge must sit strictly inside the ordered region
-        for t in np.linspace(0.0, spins.neel_temperature * 0.999, 500):
-            assert ac.spin_flop_boundary(float(t), bounds) <= phase.paramagnetic_boundary(
-                float(t), bounds, spins
-            )
+        for t in np.linspace(0.0, spins.neel_temperature * 0.999, 500).tolist():
+            assert phase.neel_temperature_at(ac.spin_flop_boundary(t, bounds), bounds, spins) > t
 
 
 class TestPhaseGrid:
@@ -171,13 +172,10 @@ class TestPhaseGrid:
 
 
 def reference_phase(b, t, bd, spins):
-    """Scalar classifier with its own copy of the three boundary curves."""
+    """Scalar classifier with its own copy of the two boundary curves."""
     neel, flop = spins.neel_temperature, ac.spin_flop_field(spins)
-    neel_line = neel * max(0.0, 1.0 - (b / bd.critical_field) ** bd.neel_exponent)
+    neel_line = neel * max(0.0, 1.0 - (b / bd.saturation_field) ** bd.neel_exponent)
     if t >= neel_line:
-        return ac.PARAMAGNETIC
-    saturation_line = bd.saturation_field * (1.0 - t / neel) ** (1.0 / bd.neel_exponent)
-    if b >= saturation_line:
         return ac.PARAMAGNETIC
     flop_line = flop * (1.0 - (t / neel) ** bd.spin_flop_exponent)
     if b < flop_line:
@@ -197,7 +195,6 @@ class TestPhaseKernelOracle:
         )
         bd = ac.PhaseBoundaries(
             neel_exponent=rng.uniform(0.5, 4.0),
-            critical_field=rng.uniform(0.5, 4.0),
             saturation_field=ac.spin_flop_field(spins) * rng.uniform(1.05, 3.0),
             spin_flop_exponent=rng.uniform(0.5, 4.0),
         )
@@ -209,16 +206,14 @@ class TestPhaseKernelOracle:
             bd, spins = self.random_phase_model(rng)
             neel, flop = spins.neel_temperature, ac.spin_flop_field(spins)
             t_cold = rng.uniform(0.0, neel, size=6)
-            b_low = rng.uniform(0.0, bd.critical_field, size=6)
+            b_low = rng.uniform(0.0, bd.saturation_field, size=6)
             # points placed exactly on each boundary curve, plus random points
             points = [(0.0, neel)]
             for t in t_cold.tolist():
                 points.append((flop * (1.0 - (t / neel) ** bd.spin_flop_exponent), t))
-                points.append((bd.saturation_field * (1.0 - t / neel) ** (
-                    1.0 / bd.neel_exponent), t))
             for b in b_low.tolist():
                 points.append((b, neel * max(
-                    0.0, 1.0 - (b / bd.critical_field) ** bd.neel_exponent)))
+                    0.0, 1.0 - (b / bd.saturation_field) ** bd.neel_exponent)))
             points += zip(rng.uniform(0.0, 4.0, 20).tolist(), rng.uniform(0.0, 6.0, 20).tolist())
             for b, t in points:
                 assert ac.classify_phase(b, t, bd, spins) == reference_phase(b, t, bd, spins)
@@ -226,3 +221,36 @@ class TestPhaseKernelOracle:
             temps = [t for _, t in points]
             grid = ac.phase_grid(fields, temps, bd, spins)
             assert grid == [[reference_phase(b, t, bd, spins) for t in temps] for b in fields]
+
+
+def two_curve_phase_grid(fields, temps, bd, spins):
+    """Phase raster by the two-curve rule: above the Neel line or past the saturation line.
+
+    Both curves end at ``bd.saturation_field``: the Neel line T_N(0) * (1 - (B/B_sat)^n)
+    in field and the saturation line B_sat * (1 - T/T_N(0))^(1/n) in temperature, each
+    evaluated once per coordinate in Python floats.
+    """
+    neel, flop, sat, n = (spins.neel_temperature, ac.spin_flop_field(spins),
+                          bd.saturation_field, bd.neel_exponent)
+    neel_line = [0.0 if b >= sat else neel * max(0.0, 1.0 - (b / sat) ** n) for b in fields]
+    saturation_line = [0.0 if t >= neel else sat * (1.0 - t / neel) ** (1.0 / n) for t in temps]
+    flop_line = [flop * (1.0 - ((t if t < neel else 0.0) / neel) ** bd.spin_flop_exponent)
+                 for t in temps]
+    b, t = np.array(fields)[:, None], np.array(temps)[None, :]
+    paramagnetic = (t >= np.array(neel_line)[:, None]) | (b >= np.array(saturation_line))
+    antiferro = b < np.array(flop_line)
+    labels = np.array([ac.ANTIFERROMAGNETIC, ac.SPIN_FLOP, ac.PARAMAGNETIC], dtype=object)
+    return labels[np.where(paramagnetic, 2, np.where(antiferro, 0, 1))].tolist()
+
+
+class TestOneNeelLine:
+    # the Neel line ending at the saturation field bounds both ordered phases on its own:
+    # the saturation line is the same curve solved for the field
+    @pytest.mark.parametrize("step", [None, 0.005])  # phase-map's default grid and a fine one
+    @pytest.mark.parametrize("f_afmr0", [34.0, 20.0])
+    def test_matches_two_curve_rule_cell_for_cell(self, bounds, step, f_afmr0):
+        spins = ac.SpinSystemParams(f_afmr0=f_afmr0)
+        grids = (cli.PHASE_FIELD_GRID, ac.RunConfig().temperature_grid)
+        fields, temps = (replace(g, step=step or g.step).samples().tolist() for g in grids)
+        grid = ac.phase_grid(fields, temps, bounds, spins)
+        assert grid == two_curve_phase_grid(fields, temps, bounds, spins)
