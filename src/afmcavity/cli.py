@@ -74,12 +74,6 @@ def _map_params(args):
         raise ConfigError(f"map sidecar: {exc}") from None
 
 
-def _lossy_cavity(cavity, loss, f_cavity: float) -> core.CavityParams:
-    """``cavity`` at ``f_cavity``, with the Q that gives the map's total cavity linewidth."""
-    kappa = core.checked("loss cavity_total_linewidth", loss.cavity_total_linewidth, 0.0, True)
-    return replace(cavity, f_cavity=f_cavity, quality_factor=f_cavity / kappa)
-
-
 def cmd_dispersion(args) -> int:
     cfg = load_config(args.config)
     fields = core.checked("field", _grid(args, "b", cfg.field_grid).samples(), 0.0)
@@ -140,7 +134,7 @@ def cmd_fit(args) -> int:
     fitted = {**report.fixed, **payload["parameters"]}
     regime = core.coupling_regime(
         core.CouplingParams(big_g=abs(fitted["big_g"])),
-        _lossy_cavity(cavity, loss, fitted["f_cavity"]),
+        replace(cavity, f_cavity=fitted["f_cavity"]),
         loss.magnon_linewidth,
     )
     payload["regime"] = {"label": regime.label, "ratio": regime.ratio}
@@ -149,7 +143,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_linewidth(args) -> int:
-    tmap, spins, cavity, coupling, loss = _map_params(args)
+    tmap, spins, cavity, coupling, _ = _map_params(args)
     cut = spectra.vertical_cut(tmap, args.freq)
     gamma_t = analysis.field_linewidth(cut)
     gamma_f = analysis.linewidth_field_to_freq(gamma_t, spins.g_factor)
@@ -169,7 +163,7 @@ def cmd_linewidth(args) -> int:
             corrected = analysis.magnon_linewidth_estimate(
                 gamma_f,
                 f_magnon,
-                _lossy_cavity(cavity, loss, cavity.f_cavity),
+                cavity,
                 coupling,
                 upper_branch=cut.frequency >= cavity.f_cavity,
             )

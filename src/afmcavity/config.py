@@ -25,7 +25,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Inclusive uniform sweep grid."""
+    """Inclusive uniform sweep grid from start up to stop >= start."""
 
     start: float
     stop: float
@@ -34,7 +34,8 @@ class GridSpec:
     def __post_init__(self):
         try:
             checked("grid step", self.step, 0.0, strict=True)
-            steps = checked("grid (stop - start) / step", (self.stop - self.start) / self.step)
+            span = (self.stop - self.start) / self.step
+            steps = checked("grid (stop - start) / step", span, 0.0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if not steps < np.iinfo(np.intp).max / 8:  # numpy sizes a float64 axis's bytes in intp
@@ -42,8 +43,6 @@ class GridSpec:
 
     def samples(self) -> np.ndarray:
         """Points start, start+step, ... up to stop (inclusive within rounding)."""
-        if self.stop < self.start:
-            return np.empty(0)
         n = int(round((self.stop - self.start) / self.step)) + 1
         axis = self.start + self.step * np.arange(n)
         axis = axis[axis <= self.stop + 1e-9 * self.step]
@@ -68,7 +67,7 @@ class RunConfig:
     spins: SpinSystemParams = SpinSystemParams()
     cavity: CavityParams = CavityParams()
     coupling: CouplingParams = CouplingParams()
-    loss: LossParams | None = None  # None: derived from the cavity
+    loss: LossParams = LossParams()
     boundaries: PhaseBoundaries = PhaseBoundaries()
     field_grid: GridSpec = GridSpec(start=0.0, stop=1.1, step=0.005)
     freq_grid: GridSpec = GridSpec(start=8.0, stop=15.0, step=0.005)
@@ -77,8 +76,6 @@ class RunConfig:
     noise_sigma_db: float = 0.0
 
     def __post_init__(self):
-        if self.loss is None:
-            object.__setattr__(self, "loss", LossParams.from_cavity(self.cavity))
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed: expected an integer >= 0, got {self.seed!r}")
         noise = self.noise_sigma_db

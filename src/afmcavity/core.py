@@ -49,7 +49,10 @@ class SpinSystemParams:
 
 @dataclass(frozen=True)
 class CavityParams:
-    """Microwave cavity: center frequency, quality factor, external coupling share."""
+    """Microwave cavity: f_cavity, κ_tot = f_cavity / Q and κ_ext = fraction · κ_tot (GHz).
+
+    A fraction of 0 is an uncoupled port, and 1 a cavity without internal loss.
+    """
 
     f_cavity: float = 11.245  # GHz
     quality_factor: float = 1300.0
@@ -58,8 +61,8 @@ class CavityParams:
     def __post_init__(self):
         checked("f_cavity", self.f_cavity, 0.0, strict=True)
         checked("quality_factor", self.quality_factor, 0.0, strict=True)
-        if not 0.0 < checked("external_coupling_fraction", self.external_coupling_fraction) < 1.0:
-            raise ValueError("external_coupling_fraction must lie in (0, 1)")
+        if not checked("external_coupling_fraction", self.external_coupling_fraction, 0.0) <= 1.0:
+            raise ValueError("external_coupling_fraction must lie in [0, 1]")
         checked("(f_cavity / quality_factor)²", self.total_linewidth * self.total_linewidth)
 
     @property

@@ -26,34 +26,12 @@ from .core import CavityParams, CouplingParams, SpinSystemParams
 
 @dataclass(frozen=True)
 class LossParams:
-    """FWHM linewidths in GHz for the magnon and the two cavity channels."""
+    """FWHM linewidth in GHz of the magnon; the cavity's follow from :class:`CavityParams`."""
 
-    cavity_internal_linewidth: float
-    cavity_external_linewidth: float
     magnon_linewidth: float = 0.035
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            core.checked(name, value, 0.0)
-        total = self.cavity_total_linewidth  # bounds the external linewidth² too
-        core.checked("cavity_total_linewidth²", total * total)
-
-    @classmethod
-    def from_cavity(
-        cls, cavity: CavityParams, magnon_linewidth: float = magnon_linewidth  # the field's default
-    ) -> "LossParams":
-        """Split f_cavity/Q into internal/external parts per the cavity's coupling fraction."""
-        total = cavity.total_linewidth
-        external = cavity.external_coupling_fraction * total
-        return cls(
-            cavity_internal_linewidth=total - external,
-            cavity_external_linewidth=external,
-            magnon_linewidth=magnon_linewidth,
-        )
-
-    @property
-    def cavity_total_linewidth(self) -> float:
-        return self.cavity_internal_linewidth + self.cavity_external_linewidth
+        core.checked("magnon_linewidth", self.magnon_linewidth, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,6 +90,8 @@ def _evaluate_s21(freqs, f_magnon, big_g, cavity, loss, out=None) -> np.ndarray:
 
         |S21|² = κ_ext² / ((κ_tot/2 + q·b)² + (f − f_c − q·a)²)
 
+    with κ_tot and κ_ext those of ``cavity``.
+
     The result is written into ``out`` when given; two more arrays of the
     same size are used as scratch.
     """
@@ -119,6 +99,7 @@ def _evaluate_s21(freqs, f_magnon, big_g, cavity, loss, out=None) -> np.ndarray:
     if out is None:
         out = np.empty(freqs.shape)
     big_g2 = big_g**2
+    kappa = cavity.total_linewidth
     b = 0.5 * loss.magnon_linewidth
     with np.errstate(all="ignore"):
         a = np.subtract(freqs, f_magnon)
@@ -133,10 +114,10 @@ def _evaluate_s21(freqs, f_magnon, big_g, cavity, loss, out=None) -> np.ndarray:
         out -= a
         out *= out
         q *= b
-        q += 0.5 * loss.cavity_total_linewidth
+        q += 0.5 * kappa
         q *= q
         out += q
-        np.divide(loss.cavity_external_linewidth**2, out, out=out)
+        np.divide((cavity.external_coupling_fraction * kappa) ** 2, out, out=out)
     # ∞·0 and 0/0 arise only at the two zero limits: a lossless magnon on
     # resonance (q = G²/0) and a zero total denominator.  fmax maps NaN to 0.
     # An overflow to inf drives q to 0 (a magnon detuned out of reach) or |S21|² to 0.

@@ -22,8 +22,8 @@ def coupling():
 
 
 @pytest.fixture(scope="session")
-def loss(cavity):
-    return ac.LossParams.from_cavity(cavity, magnon_linewidth=0.035)
+def loss():
+    return ac.LossParams(magnon_linewidth=0.035)
 
 
 @pytest.fixture(scope="session")

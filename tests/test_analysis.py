@@ -24,7 +24,7 @@ def lorentzian_map(f_center, freq_axis, n_fields=1):
         ac.SpinSystemParams(),
         cavity,
         ac.CouplingParams(big_g=0.0),
-        ac.LossParams.from_cavity(cavity),
+        ac.LossParams(),
     )
 
 
@@ -84,7 +84,7 @@ class TestExtractPeaks:
         # a small wiggle riding on the main peak has height but no prominence
         freqs = np.linspace(11.0, 11.5, 501)
         cavity = ac.CavityParams()
-        loss = ac.LossParams.from_cavity(cavity)
+        loss = ac.LossParams()
         base = ac.synthesize_map(
             [0.1], freqs, ac.SpinSystemParams(), cavity, ac.CouplingParams(big_g=0.0), loss
         ).values[0].copy()
@@ -475,7 +475,7 @@ class TestFitAvoidedCrossing:
 
     def test_round_trip_property_over_parameter_draws(self, cavity):
         rng = np.random.default_rng(31)
-        loss = ac.LossParams.from_cavity(cavity, magnon_linewidth=0.035)
+        loss = ac.LossParams(magnon_linewidth=0.035)
         for _ in range(8):
             g_true = rng.uniform(0.1, 3.0)
             f0_true = rng.uniform(20.0, 50.0)

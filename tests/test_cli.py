@@ -65,12 +65,6 @@ class TestDispersion:
         for r, flag in zip(rows, flags):
             assert flag == (1 if float(r[0]) >= flop else 0)
 
-    def test_empty_range_header_only(self, tmp_path, capsys):
-        code = main(["dispersion", "--b-min", "1.0", "--b-max", "0.5", "--b-step", "0.01"])
-        assert code == 0
-        out = capsys.readouterr().out.splitlines()
-        assert len(out) == 2  # comment + header, no rows
-
     def test_negative_field_exit_2(self, capsys):
         code = main(["dispersion", "--b-min", "-0.2", "--b-max", "0.5", "--b-step", "0.01"])
         assert code == 2
@@ -210,11 +204,9 @@ class TestFit:
         assert "parameters" in payload
 
     def test_regime_reads_the_maps_cavity_linewidth(self, tmp_path, capsys):
-        # κ_tot = 2 GHz exceeds G = 1.72 GHz, although f_cavity / Q is 8.65 MHz
+        # κ_tot = f_cavity / Q = 2 GHz exceeds G = 1.72 GHz
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"loss": {
-            "cavity_internal_linewidth": 1.0, "cavity_external_linewidth": 1.0,
-        }}))
+        cfg.write_text(json.dumps({"cavity": {"quality_factor": 11.245 / 2}}))
         out = tmp_path / "map.csv"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         assert main(["fit", str(out)]) == 0
@@ -223,13 +215,13 @@ class TestFit:
         assert payload["regime"]["label"] == "weak"
 
 
-def fine_sweep(directory: Path, loss=None) -> Path:
-    """A map on the fine linewidth grid, with the config's ``loss`` section if given."""
+def fine_sweep(directory: Path, cavity=None) -> Path:
+    """A map on the fine linewidth grid, with the config's ``cavity`` section if given."""
     cfg = directory / "run.json"
     cfg.write_text(json.dumps({
         "field_grid": {"start": 0.64, "stop": 0.72, "step": 0.0001},
         "freq_grid": {"start": 15.5, "stop": 15.7, "step": 0.005},
-        "loss": loss,
+        "cavity": cavity,
     }))
     out = directory / "fine.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
@@ -274,16 +266,18 @@ class TestLinewidth:
         assert "outside" in capsys.readouterr().err
 
     def test_correction_subtracts_the_maps_cavity_linewidth(self, tmp_path, capsys):
-        # κ_tot = 0.04 GHz here, not f_cavity / Q = 0.00865 GHz
-        loss = {"cavity_internal_linewidth": 0.02, "cavity_external_linewidth": 0.02,
-                "magnon_linewidth": 0.035}
-        assert main(["linewidth", str(fine_sweep(tmp_path, loss)), "--freq", "15.6"]) == 0
+        # κ_tot = f_cavity / Q = 0.04 GHz + 1 ulp here, not the default 0.00865 GHz; at
+        # Q = 281.125 (0.04 GHz - 1 ulp) the Lorentzian fit stops on damping exhaustion
+        # just above the absolute gradient tolerance, and linewidth exits 3
+        cavity = {"quality_factor": 281.12499999999994}
+        assert main(["linewidth", str(fine_sweep(tmp_path, cavity)), "--freq", "15.6"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["magnon_corrected_ghz"] == pytest.approx(0.035, rel=1e-3)
 
     def test_zero_cavity_linewidth_map_is_flat_exit_2(self, tmp_path, capsys):
-        loss = {"cavity_internal_linewidth": 0.0, "cavity_external_linewidth": 0.0}
-        assert main(["linewidth", str(fine_sweep(tmp_path, loss)), "--freq", "15.6"]) == 2
+        # an uncoupled port: κ_ext = 0, so every cell of the map is 0
+        cavity = {"external_coupling_fraction": 0}
+        assert main(["linewidth", str(fine_sweep(tmp_path, cavity)), "--freq", "15.6"]) == 2
         assert capsys.readouterr().err == "error: no peak: the trace is flat\n"
 
     def test_unconverged_fit_exit_3(self, fine_map, monkeypatch, capsys):
@@ -490,12 +484,6 @@ class TestPhaseMap:
             assert main(["phase-map"]) == 0
         assert capsys.readouterr().err == ""
 
-    def test_degenerate_grid_header_only(self, capsys):
-        code = main(["phase-map", "--b-min", "1", "--b-max", "0", "--b-step", "0.5"])
-        assert code == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 2
-
 
 class TestExitCodes:
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
@@ -509,6 +497,9 @@ class TestExitCodes:
         pytest.param({"spins": {"bogus": 1.0}}, "spins.bogus", id="unknown-key"),
         pytest.param({"coupling": {"n_spins": 1e18}},
                      "error: map sidecar: unknown key: coupling.n_spins\n", id="n-spins-key"),
+        pytest.param({"loss": {"cavity_external_linewidth": 0.004}},
+                     "error: map sidecar: unknown key: loss.cavity_external_linewidth\n",
+                     id="cavity-linewidth-key"),
         pytest.param("[1]", "{path}: expected a JSON object, got list", id="list-root"),
         pytest.param('"x"', "{path}: expected a JSON object, got str", id="string-root"),
         pytest.param("null", "{path}: expected a JSON object, got NoneType", id="null-root"),
@@ -547,9 +538,10 @@ class TestExitCodes:
         pytest.param(["sweep"], {"cavity": {"quality_factor": 1e-300}},
                      "cavity: (f_cavity / quality_factor)²", id="cavity-linewidth"),
         pytest.param(["sweep"], {"coupling": {"big_g": 1e200}}, "coupling: big_g²", id="big-g"),
+        # the cavity's linewidths follow from the cavity section alone
         pytest.param(["sweep"], {"loss": {"cavity_internal_linewidth": 1e200,
                                           "cavity_external_linewidth": 1e200}},
-                     "loss: cavity_total_linewidth²", id="loss-linewidths"),
+                     "unknown key: loss.cavity_internal_linewidth\n", id="loss-linewidths"),
         pytest.param(["dispersion"], {"spins": {"g_factor": 1e308}},
                      "spins: spin-flop field f_afmr0 / (g_factor", id="zeeman-slope"),
         pytest.param(["dispersion"], {"spins": {"g_factor": 10**400}},  # a JSON integer
@@ -612,6 +604,16 @@ class TestExitCodes:
                      "seed: expected an integer >= 0, got -1", id="negative-seed-noisy"),
         pytest.param(["sweep", "--seed", "-1"], {"noise_sigma_db": 0.2},
                      "seed: expected an integer >= 0, got -1", id="negative-seed-flag"),
+        # a grid whose stop lies below its start
+        pytest.param(["dispersion", "--b-min", "2", "--b-max", "1"], {},
+                     "--b-min, --b-max: grid (stop - start) / step must be finite and >= 0, "
+                     "got -200.0\n", id="reversed-dispersion-flags"),
+        pytest.param(["phase-map", "--b-max", "-1"], {},
+                     "--b-max: grid (stop - start) / step must be finite and >= 0, got -20.0\n",
+                     id="reversed-phase-map-flags"),
+        pytest.param(["sweep"], {"field_grid": {"start": 1, "stop": 0, "step": 0.1}},
+                     "field_grid: grid (stop - start) / step must be finite and >= 0, got -10.0\n",
+                     id="reversed-field-grid"),
     ])
     def test_overflowing_derived_quantity_exit_2(self, tmp_path, capsys, argv, raw, expected):
         cfg = tmp_path / "run.json"
@@ -686,6 +688,48 @@ class TestRemovedFlags:
             main([*argv, *flag])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+# Every section given, on small grids and with noise on: the base of the one-value changes below.
+BASE_CONFIG = ac.RunConfig(
+    field_grid=ac.GridSpec(start=0.6, stop=0.9, step=0.05),
+    freq_grid=ac.GridSpec(start=10.0, stop=12.5, step=0.1),
+    temperature_grid=ac.GridSpec(start=0.5, stop=2.5, step=0.5),
+    seed=3,
+    noise_sigma_db=0.2,
+).to_dict()
+CONFIG_VALUES = [  # every dataclass field of every section, then seed and noise_sigma_db
+    (section, key) for section, value in BASE_CONFIG.items() if isinstance(value, dict)
+    for key in value
+] + [(key,) for key, value in BASE_CONFIG.items() if not isinstance(value, dict)]
+
+
+def _config_outputs(directory: Path, raw: dict) -> list[bytes]:
+    """The bytes of sweep's map CSV, dispersion's CSV and phase-map's CSV under config ``raw``."""
+    cfg = directory / "run.json"
+    cfg.write_text(json.dumps(raw))
+    outputs = []
+    for command in ("sweep", "dispersion", "phase-map"):
+        out = directory / f"{command}.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())  # the sweep's sidecar echoes the config: not read
+    return outputs
+
+
+@pytest.fixture(scope="module")
+def base_outputs(tmp_path_factory):
+    return _config_outputs(tmp_path_factory.mktemp("base-config"), BASE_CONFIG)
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("path", CONFIG_VALUES, ids=".".join)
+    def test_every_value_changes_an_output(self, base_outputs, tmp_path, path):
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        *sections, key = path
+        section = raw[sections[0]] if sections else raw
+        value = section[key]
+        section[key] = value + 1 if isinstance(value, int) else value * 0.9
+        assert _config_outputs(tmp_path, raw) != base_outputs, f"{'.'.join(path)} changes nothing"
 
 
 class TestDeterminism:
@@ -863,7 +907,7 @@ def fuzz_csv(tmp_path_factory):
     its mutants are written to, and the exit code, stderr and report of the clean map there."""
     directory = tmp_path_factory.mktemp("csv-fuzz")
     params = (ac.SpinSystemParams(), ac.CavityParams(), ac.CouplingParams(big_g=1.72),
-              ac.LossParams.from_cavity(ac.CavityParams(), 0.035))
+              ac.LossParams(0.035))
     grids = {
         "fit": ((0.0, 1.1, 0.025), (8.0, 15.0, 0.1), []),  # exits 0
         "linewidth": ((0.66, 0.70, 0.0002), (15.5, 15.7, 0.05), ["--freq", "15.6"]),  # exits 3

@@ -17,9 +17,6 @@ class TestGridSpec:
         assert samples[0] == 0.0
         assert samples[-1] == pytest.approx(1.1, abs=1e-12)
 
-    def test_empty_when_stop_below_start(self):
-        assert GridSpec(start=1.0, stop=0.0, step=0.1).samples().size == 0
-
     def test_bad_step(self):
         with pytest.raises(ConfigError):
             GridSpec(start=0.0, stop=1.0, step=0.0)
@@ -42,7 +39,8 @@ class TestRunConfig:
         assert cfg.spins.f_afmr0 == 34.0
         assert cfg.cavity.quality_factor == 1300.0
         assert cfg.coupling.big_g == 1.72
-        assert cfg.loss.cavity_total_linewidth == pytest.approx(11.245 / 1300)
+        assert cfg.cavity.total_linewidth == pytest.approx(11.245 / 1300)
+        assert cfg.loss == ac.LossParams(magnon_linewidth=0.035)
         assert cfg.seed == 0
 
     def test_unknown_top_level_key(self):
@@ -83,19 +81,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="^noise_sigma_db: expected a number, got 'x'$"):
             RunConfig.from_dict({"noise_sigma_db": "x"})
 
-    def test_loss_derived_from_cavity_when_omitted(self):
-        cfg = RunConfig.from_dict({"cavity": {"quality_factor": 650.0}})
-        assert cfg.loss.cavity_total_linewidth == pytest.approx(11.245 / 650.0)
+    @pytest.mark.parametrize("key", ["cavity_internal_linewidth", "cavity_external_linewidth"])
+    def test_cavity_linewidth_in_loss_is_unknown(self, key):
+        # the cavity section alone sets the cavity's linewidths
+        with pytest.raises(ConfigError, match=f"^unknown key: loss.{key}$"):
+            RunConfig.from_dict({"loss": {key: 0.004, "magnon_linewidth": 0.035}})
 
     def test_explicit_loss_respected(self):
-        cfg = RunConfig.from_dict(
-            {"loss": {
-                "cavity_internal_linewidth": 0.002,
-                "cavity_external_linewidth": 0.006,
-                "magnon_linewidth": 0.05,
-            }}
-        )
-        assert cfg.loss.cavity_external_linewidth == 0.006
+        cfg = RunConfig.from_dict({"loss": {"magnon_linewidth": 0.05}})
         assert cfg.loss.magnon_linewidth == 0.05
 
     def test_round_trip(self):

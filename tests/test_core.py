@@ -40,10 +40,19 @@ class TestParams:
         assert cavity.total_linewidth == pytest.approx(11.245 / 1300)
         assert cavity.total_linewidth > 0
 
-    @pytest.mark.parametrize("frac", [0.0, 1.0, -0.2, 1.5])
-    def test_coupling_fraction_bounds(self, frac):
-        with pytest.raises(ValueError):
-            ac.CavityParams(external_coupling_fraction=frac)
+    @pytest.mark.parametrize("frac, message", [
+        pytest.param(0.0, None, id="0.0"),  # an uncoupled port
+        pytest.param(1.0, None, id="1.0"),  # a cavity without internal loss
+        pytest.param(-0.2, "must be finite and >= 0", id="-0.2"),
+        pytest.param(1.5, r"must lie in \[0, 1\]", id="1.5"),
+    ])
+    def test_coupling_fraction_bounds(self, frac, message):
+        if message is None:
+            cavity = ac.CavityParams(external_coupling_fraction=frac)
+            assert cavity.external_coupling_fraction == frac
+        else:
+            with pytest.raises(ValueError, match=f"external_coupling_fraction {message}"):
+                ac.CavityParams(external_coupling_fraction=frac)
 
     def test_negative_big_g_rejected(self):
         with pytest.raises(ValueError):

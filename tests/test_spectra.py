@@ -24,24 +24,18 @@ def default_text(default_map):
 
 
 class TestLossParams:
-    def test_from_cavity_splits_total(self, cavity):
-        loss = ac.LossParams.from_cavity(cavity)
-        assert loss.cavity_total_linewidth == pytest.approx(cavity.total_linewidth, rel=1e-14)
-        assert loss.cavity_external_linewidth == pytest.approx(
-            0.5 * cavity.total_linewidth, rel=1e-14
-        )
-
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ac.LossParams(cavity_internal_linewidth=-1e-3, cavity_external_linewidth=1e-3)
+        with pytest.raises(ValueError, match="magnon_linewidth must be finite and >= 0"):
+            ac.LossParams(magnon_linewidth=-1e-3)
 
 
 class TestS21Power:
-    def test_decoupled_peak_height(self, spins, cavity, zero_coupling, loss):
-        # at f = f_c with G = 0 the lineshape peaks at (kappa_ext / (kappa_tot/2))^2
-        expected = (loss.cavity_external_linewidth / (0.5 * loss.cavity_total_linewidth)) ** 2
-        value = ac.s21_power(cavity.f_cavity, 0.4, spins, cavity, zero_coupling, loss)
-        assert value == pytest.approx(expected, rel=1e-12)
+    def test_decoupled_peak_height(self, spins, zero_coupling, loss):
+        # at f = f_c with G = 0 the lineshape peaks at (kappa_ext / (kappa_tot/2))^2 = (2 frac)^2
+        for frac in (0.0, 0.2, 0.5, 1.0):
+            cavity = ac.CavityParams(external_coupling_fraction=frac)
+            value = ac.s21_power(cavity.f_cavity, 0.4, spins, cavity, zero_coupling, loss)
+            assert value == pytest.approx((2 * frac) ** 2, rel=1e-12)
 
     def test_normal_mode_splitting_at_crossing(self, spins, cavity, coupling, loss):
         # oracle: scan frequency on a 1 MHz grid at the crossing field and
@@ -61,8 +55,8 @@ class TestS21Power:
         assert spot == pytest.approx(power[f == doublet[0]][0], rel=1e-12)
 
     def test_far_detuned_tail_bound(self, spins, cavity, coupling, loss):
-        peak = (loss.cavity_external_linewidth / (0.5 * loss.cavity_total_linewidth)) ** 2
-        f = cavity.f_cavity + 150 * loss.cavity_total_linewidth  # magnon is at ~28 GHz here
+        peak = (2 * cavity.external_coupling_fraction) ** 2
+        f = cavity.f_cavity + 150 * cavity.total_linewidth  # magnon is at ~28 GHz here
         value = ac.s21_power(f, 0.2, spins, cavity, coupling, loss)
         assert value < 1e-4 * peak
 
@@ -81,11 +75,7 @@ class TestS21Power:
         assert np.all(tmap.values >= 0)
 
     def test_lossless_magnon_on_resonance_is_zero(self, spins, cavity, coupling):
-        loss = ac.LossParams(
-            cavity_internal_linewidth=0.004,
-            cavity_external_linewidth=0.004,
-            magnon_linewidth=0.0,
-        )
+        loss = ac.LossParams(magnon_linewidth=0.0)
         f_m = ac.magnon_branches(spins, 0.5).lower
         assert ac.s21_power(f_m, 0.5, spins, cavity, coupling, loss) == 0.0
 
@@ -93,8 +83,8 @@ class TestS21Power:
 def _reference_s21(freqs, f_magnon, cavity, coupling, loss):
     """The complex coupled-mode lineshape, kept as the oracle of the real kernel."""
     freqs = np.asarray(freqs, dtype=float)
-    kappa_ext = loss.cavity_external_linewidth
-    kappa_tot = loss.cavity_total_linewidth
+    kappa_tot = cavity.total_linewidth
+    kappa_ext = cavity.external_coupling_fraction * kappa_tot
     magnon_den = 1j * (freqs - f_magnon) + 0.5 * loss.magnon_linewidth
     big_g2 = coupling.big_g**2
     singular = magnon_den == 0
@@ -112,15 +102,17 @@ class TestKernelOracle:
         rng = np.random.default_rng(2024)
         worst = 0.0
         for _ in range(3000):
+            # the end points too: an uncoupled port and a cavity without internal loss
+            frac = rng.choice([0.0, 1.0, rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)])
             cavity = ac.CavityParams(
                 f_cavity=rng.uniform(1.0, 40.0),
                 quality_factor=10.0 ** rng.uniform(1.0, 6.0),
-                external_coupling_fraction=rng.uniform(0.05, 0.95),
+                external_coupling_fraction=frac,
             )
             big_g = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-3.0, 1.0)
             gamma = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-5.0, 0.0)
             coupling = ac.CouplingParams(big_g=big_g)
-            loss = ac.LossParams.from_cavity(cavity, magnon_linewidth=gamma)
+            loss = ac.LossParams(magnon_linewidth=gamma)
             f_c = cavity.f_cavity
             f_m = f_c + rng.uniform(-3.0, 3.0) * max(big_g, cavity.total_linewidth)
             span = 4.0 * (big_g + cavity.total_linewidth)
@@ -139,17 +131,20 @@ class TestKernelOracle:
         assert worst < 1e-11
 
     def test_lossless_magnon_on_resonance(self, cavity, coupling):
-        loss = ac.LossParams(0.004, 0.004, magnon_linewidth=0.0)
+        loss = ac.LossParams(magnon_linewidth=0.0)
         f_m = 10.5
         assert spectra._evaluate_s21([f_m], f_m, coupling.big_g, cavity, loss)[0] == 0.0
         bare = spectra._evaluate_s21([f_m], f_m, 0.0, cavity, loss)[0]
         detuning = f_m - cavity.f_cavity
+        half = 0.5 * cavity.total_linewidth  # = κ_ext at the fraction 0.5
         assert bare > 0
-        assert bare == pytest.approx(0.004**2 / (0.004**2 + detuning**2), rel=1e-14)
+        assert bare == pytest.approx(half**2 / (half**2 + detuning**2), rel=1e-14)
 
-    def test_lossless_cavity_on_resonance_is_zero(self, cavity):
-        loss = ac.LossParams(0.0, 0.0, magnon_linewidth=0.035)
-        value = spectra._evaluate_s21([cavity.f_cavity], 30.0, 0.0, cavity, loss)[0]
+    def test_lossless_cavity_on_resonance_is_zero(self):
+        # f_cavity / Q underflows to 0, so the denominator vanishes on resonance: 0/0 reads 0
+        cavity = ac.CavityParams(f_cavity=1e-300, quality_factor=1e300)
+        assert cavity.total_linewidth == 0.0
+        value = spectra._evaluate_s21([cavity.f_cavity], 30.0, 0.0, cavity, ac.LossParams())[0]
         assert value == 0.0
 
     def test_out_row_written_in_place(self, cavity, coupling, loss):
@@ -259,8 +254,8 @@ class TestSynthesizeMap:
         )
         assert np.array_equal(tmap.values[1], bare.values[0])
 
-    def test_passivity_bound(self, default_map, loss):
-        bound = (loss.cavity_external_linewidth / (0.5 * loss.cavity_total_linewidth)) ** 2
+    def test_passivity_bound(self, default_map, cavity):
+        bound = (2 * cavity.external_coupling_fraction) ** 2
         assert default_map.values.max() <= bound * (1 + 1e-12)
 
     def test_decoupled_columns_are_lorentzian(self, spins, cavity, zero_coupling, loss):
@@ -272,7 +267,7 @@ class TestSynthesizeMap:
             fwhm_f = _lorentzian_fwhm_ghz(freqs, tmap.values[i])
             peak_f = freqs[np.argmax(tmap.values[i])]
             assert abs(peak_f - cavity.f_cavity) <= 0.0005
-            assert fwhm_f == pytest.approx(loss.cavity_total_linewidth, rel=0.02)
+            assert fwhm_f == pytest.approx(cavity.total_linewidth, rel=0.02)
 
 
 def _lorentzian_fwhm_ghz(freqs, power):
@@ -372,7 +367,7 @@ class TestSerialization:
         small = ac.synthesize_map(
             default_map.field_axis[:7], default_map.freq_axis[:11],
             ac.SpinSystemParams(), ac.CavityParams(), ac.CouplingParams(big_g=1.72),
-            ac.LossParams.from_cavity(ac.CavityParams(), 0.035),
+            ac.LossParams(0.035),
         )
         path = tmp_path / "map.csv"
         ac.save_map(small, path)
