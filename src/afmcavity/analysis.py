@@ -17,6 +17,8 @@ from .core import CavityParams, CouplingParams, SpinSystemParams
 from .spectra import TransmissionMap, write_csv, write_json
 
 PARAMETER_ORDER = ("big_g", "f_afmr0", "g_factor", "f_cavity")
+MIN_PROMINENCE = 0.1  # extract_peaks' default, a fraction of the column maximum
+FIT_WINDOW = (0.0, 1.1)  # tesla; fit_avoided_crossing's default, short of the spin-flop region
 
 
 class FitError(ValueError):
@@ -110,7 +112,7 @@ def _block_prominences(block, rows, cols, peak, top, bottom) -> np.ndarray:
     return proms
 
 
-def extract_peaks(tmap: TransmissionMap, min_prominence: float = 0.1) -> PeakSet:
+def extract_peaks(tmap: TransmissionMap, min_prominence: float = MIN_PROMINENCE) -> PeakSet:
     """Locate up to two transmission peaks per field column.
 
     A sample qualifies if its topographic prominence reaches
@@ -273,8 +275,8 @@ def fit_avoided_crossing(
     ``g_factor`` and ``f_cavity``; everything else is held at the values in
     ``spins``/``cavity``/``coupling``.  Each peak is matched to the nearest
     model branch anew on every iteration and the summed squared distance is
-    minimized by damped least squares.  The default window upper edge of
-    1.1 T keeps the fit away from the spin-flop region.
+    minimized by damped least squares.  ``window`` defaults to
+    ``FIT_WINDOW``, whose upper edge keeps the fit away from the spin-flop region.
     """
     free = tuple(dict.fromkeys(free))
     unknown = [name for name in free if name not in PARAMETER_ORDER]
@@ -283,7 +285,7 @@ def fit_avoided_crossing(
     if not free:
         raise ValueError("free parameter mask is empty; nothing to fit")
     if window is None:
-        window = (0.0, 1.1)
+        window = FIT_WINDOW
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError(f"window must be an increasing interval, got {window!r}")

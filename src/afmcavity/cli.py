@@ -258,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--free", default="big_g,f_afmr0",
         help="comma list among big_g,f_afmr0,g_factor,f_cavity",
     )
-    p.add_argument("--window", help="fit window LO:HI in tesla (default 0:1.1)")
-    p.add_argument("--min-prominence", type=float, default=0.1)
+    lo, hi = analysis.FIT_WINDOW
+    p.add_argument("--window", help=f"fit window LO:HI in tesla (default {lo:g}:{hi:g})")
+    p.add_argument("--min-prominence", type=float, default=analysis.MIN_PROMINENCE)
     p.set_defaults(run=cmd_fit)
 
     p = sub.add_parser("linewidth", help="field-domain linewidth at a fixed frequency")

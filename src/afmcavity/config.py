@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, fields as dataclass_fields
+from dataclasses import asdict, dataclass, fields as dataclass_fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,18 +48,6 @@ class GridSpec:
         axis = axis[axis <= self.stop + 1e-9 * self.step]
         axis.flags.writeable = False  # fresh, so a map adopts it without a copy
         return axis
-
-
-_SECTION_TYPES = {
-    "spins": SpinSystemParams,
-    "cavity": CavityParams,
-    "coupling": CouplingParams,
-    "loss": LossParams,
-    "boundaries": PhaseBoundaries,
-    "field_grid": GridSpec,
-    "freq_grid": GridSpec,
-    "temperature_grid": GridSpec,
-}
 
 
 @dataclass(frozen=True)
@@ -106,6 +94,12 @@ class RunConfig:
         return write_json(self.to_dict())
 
 
+# the sections of a config, each parsed as the type of its default
+_SECTION_TYPES = {
+    f.name: type(f.default) for f in dataclass_fields(RunConfig) if is_dataclass(f.default)
+}
+
+
 def build_section(name: str, raw):
     """Strictly parse one config section."""
     section_type = _SECTION_TYPES[name]
@@ -119,7 +113,7 @@ def build_section(name: str, raw):
             raise ConfigError(f"{name}.{key}: expected a number, got {value!r}")
         if isinstance(value, int) and abs(value) > sys.float_info.max:
             raise ConfigError(f"{name}.{key}: out of the float range ({name}: int too large)")
-    if name in ("field_grid", "freq_grid", "temperature_grid"):
+    if section_type is GridSpec:
         missing = {"start", "stop", "step"} - set(raw)
         if missing:
             raise ConfigError(f"{name}: missing required keys {sorted(missing)}")

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import afmcavity as ac
-from afmcavity import analysis, optimize
+from afmcavity import analysis, optimize, spectra
 from afmcavity.analysis import _make_objective
 from afmcavity.constants import GHZ_PER_TESLA_PER_G
 from conftest import map_freq_step, numerical_jacobian
@@ -119,6 +120,17 @@ class TestExtractPeaks:
                 lines.append(f"{col.field!r},{p!r},{h!r}")
 
         assert peaks.to_csv() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("positions, message", [
+        pytest.param((9.0, 10.0, 11.0), "at most two peaks may be retained per column",
+                     id="three-peaks"),
+        pytest.param((16.0,), r"peak at 16.0 GHz outside the map frequency range \[8.0, 15.0\]",
+                     id="outside-freq-range"),
+    ])
+    def test_peak_set_rejects_invalid_column(self, positions, message):
+        column = analysis.ColumnPeaks(0.5, positions, (1.0,) * len(positions))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            analysis.PeakSet((column,), (8.0, 15.0))
 
 
 def _local_maxima(y: np.ndarray) -> np.ndarray:
@@ -589,6 +601,12 @@ class TestFitAvoidedCrossing:
             "message", "n_observations",
         }
         assert "big_g" in payload["parameters"]
+        assert report.to_json() == spectra.write_json(payload)
+
+    def test_report_rejects_negative_uncertainty(self, default_peaks, spins, cavity):
+        report = ac.fit_avoided_crossing(default_peaks, spins, cavity, free=("big_g",))
+        with pytest.raises(ValueError, match="^uncertainties must be >= 0$"):
+            replace(report, uncertainties=(-1e-3,))
 
     @pytest.mark.parametrize("window", [None, (0.3, 0.9)])
     def test_report_carries_stop_reason_and_observation_count(
@@ -873,6 +891,8 @@ class TestTrendFit:
         falling_through_zero = 0.5 - 0.5 * t**4
         with pytest.raises(analysis.FitError, match="unphysical"):
             ac.fit_t4_trend(list(zip(t, falling_through_zero)), sign="-")
+        with pytest.raises(analysis.FitError, match="^unphysical trend: fitted offset -1.03"):
+            ac.fit_t4_trend([(0.5, -1.0), (1.0, 0.0), (1.5, 4.0)], sign="+")
 
     def test_serialization_keys(self):
         fit = ac.fit_t4_trend([(0.5, 10.0), (1.0, 26.0)], sign="+")

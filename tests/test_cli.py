@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -522,6 +523,7 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert expected.format(path=csv.with_suffix(".json")) in err
             assert "Traceback" not in err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("f_afmr0, unbounded", [(1e155, "big_g"), (1e156, "big_g, f_afmr0")])
     def test_unconstrained_fit_exit_2(self, sweep_map, tmp_path, f_afmr0, unbounded):
@@ -542,6 +544,8 @@ class TestExitCodes:
         pytest.param(["sweep"], {"loss": {"cavity_internal_linewidth": 1e200,
                                           "cavity_external_linewidth": 1e200}},
                      "unknown key: loss.cavity_internal_linewidth\n", id="loss-linewidths"),
+        pytest.param(["sweep"], {"coupling": {"big_g": 1.72, "n_spins": 1e18, "g_single": 1.72e-9}},
+                     "unknown key: coupling.n_spins\n", id="coupling-decomposition"),
         pytest.param(["dispersion"], {"spins": {"g_factor": 1e308}},
                      "spins: spin-flop field f_afmr0 / (g_factor", id="zeeman-slope"),
         pytest.param(["dispersion"], {"spins": {"g_factor": 10**400}},  # a JSON integer
@@ -635,6 +639,18 @@ class TestExitCodes:
             assert f"{csv}: line 6: expected finite numbers and a transmission >= 0" in err
             assert "Traceback" not in err
 
+    def test_bad_cell_past_the_first_window_exit_2(self, tmp_path, capsys):
+        # line 200000 of the default map lies about 7 MB in, past the reader's first ~1 MiB window
+        csv = tmp_path / "map.csv"
+        assert main(["sweep", "--out", str(csv)]) == 0
+        lines = csv.read_text().splitlines(keepends=True)
+        lines[199_999] = "0.5,9.0,oops\n"
+        csv.write_text("".join(lines))
+        assert main(["fit", str(csv)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {csv}: line 200000: expected 3 comma-separated numbers, got '0.5,9.0,oops'\n"
+        )
+
     def test_unconverged_fit_exit_3(self, sweep_map, monkeypatch, capsys):
         from afmcavity import analysis as analysis_module
         from afmcavity import cli as cli_module
@@ -688,6 +704,62 @@ class TestRemovedFlags:
             main([*argv, *flag])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+# `afmcavity` in a fresh interpreter that turns every warning into an error.  The child finds
+# the package by an absolute path, since a relative PYTHONPATH would follow its working
+# directory, and buffers its stdout as under a shell, where the interpreter flushes it at exit.
+AFMCAVITY = [sys.executable, "-W", "error", "-m", "afmcavity.cli"]
+CHILD_ENV = {
+    **{key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"},
+    "PYTHONPATH": str(Path(ac.__file__).resolve().parents[1]),
+    "PYTHONIOENCODING": "utf-8",
+}
+
+
+def _afmcavity(*argv, cwd):
+    """``afmcavity argv`` run in ``cwd`` by a fresh interpreter, with its output as text."""
+    return subprocess.run([*AFMCAVITY, *argv], cwd=cwd, env=CHILD_ENV, capture_output=True,
+                          encoding="utf-8", timeout=120)
+
+
+class TestProcess:
+    """What only a real process shows: ``sys.exit(main())``, and the interpreter's exit."""
+
+    def test_sweep_then_fit_exit_0(self, sweep_config, tmp_path):
+        sweep = _afmcavity("sweep", "--config", str(sweep_config), "--out", "m.csv", cwd=tmp_path)
+        assert (sweep.returncode, sweep.stdout, sweep.stderr) == (0, "", "")
+        fit = _afmcavity("fit", "m.csv", cwd=tmp_path)
+        assert (fit.returncode, fit.stderr) == (0, "")
+        assert json.loads(fit.stdout)["converged"] is True
+
+    def test_overflowing_coupling_exit_2(self, tmp_path):
+        (tmp_path / "bad.json").write_text(json.dumps({"coupling": {"big_g": 1e200}}))
+        run = _afmcavity("sweep", "--config", "bad.json", "--out", "bad.csv", cwd=tmp_path)
+        assert (run.returncode, run.stdout, run.stderr) == (
+            2, "", "error: coupling: big_g² must be finite, got inf\n"
+        )
+
+    def test_unconverged_trend_exit_3(self, tmp_path):
+        (tmp_path / "flat.csv").write_text("0.3,35\n0.5,35.0001\n0.7,35\n1.0,35.0002\n1.5,35\n")
+        run = _afmcavity("trend", "flat.csv", "--free-exponent", cwd=tmp_path)
+        assert (run.returncode, run.stdout) == (3, "")
+        assert run.stderr.startswith("error: trend fit did not converge: ")
+        assert run.stderr.count("\n") == 1
+
+    def test_reader_that_stops_early_exit_0_quietly(self, tmp_path):
+        # as under `afmcavity phase-map ... | head -n 1`: the 9 MB table outgrows the pipe
+        argv = ["phase-map", "--b-step", "0.005", "--t-step", "0.005"]
+        with open(tmp_path / "stderr", "w+b") as err:
+            child = subprocess.Popen([*AFMCAVITY, *argv], cwd=tmp_path, env=CHILD_ENV,
+                                     stdout=subprocess.PIPE, stderr=err)
+            first = child.stdout.readline()
+            child.stdout.close()
+            code = child.wait(timeout=120)
+            err.seek(0)
+            assert (first, code, err.read()) == (
+                b"# boundary shapes are approximate parametrized curves\n", 0, b""
+            )
 
 
 # Every section given, on small grids and with noise on: the base of the one-value changes below.

@@ -164,6 +164,10 @@ class TestTransmissionMap:
             ac.TransmissionMap([0.1, 0.2], [1.0, 2.0], np.ones((3, 2)))
         with pytest.raises(ValueError, match="finite"):
             ac.TransmissionMap([0.1], [1.0], [[np.nan]])
+        with pytest.raises(ValueError, match="^axes must be one-dimensional$"):
+            ac.TransmissionMap([[0.1, 0.2]], [1.0], np.ones((2, 1)))
+        with pytest.raises(ValueError, match="^axes must be non-empty$"):
+            ac.TransmissionMap([], [1.0], np.ones((0, 1)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
     def test_bad_cell_rejected(self, bad):
