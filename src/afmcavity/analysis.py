@@ -527,6 +527,13 @@ def fit_t4_trend(
     )
     if fit.offset <= 0:
         raise FitError(f"unphysical trend: fitted offset {fit.offset} is not positive")
+    # Each y rounded by eps, and lstsq's backward error of that order, move B by up to
+    # about 2n·eps·Σ|Pᵢ·yᵢ|, P the pseudo-inverse's row for B: a B within that is zero.
+    row = np.linalg.pinv(np.column_stack([np.ones_like(t), t**fit.exponent]))[1]
+    if fit.coefficient < -2 * t.size * np.finfo(float).eps * (np.abs(row) @ np.abs(y)):
+        trend = "rise" if sign == "-" else "fall"
+        raise FitError(f"fitted coefficient {fit.coefficient} contradicts sign {sign!r}: "
+                       f"the data {trend} with temperature")
     if sign == "-" and np.any(fit.evaluate(t) <= 0):
         raise FitError("unphysical trend: fitted curve crosses zero inside the data range")
     return fit

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -39,25 +40,31 @@ def _grid_flags(parser: argparse.ArgumentParser, axis: str, unit: str) -> None:
         parser.add_argument(f"--{axis}-{flag}", type=float, dest=f"{axis}_{part}", metavar=unit)
 
 
-def _grid(args, axis: str, base: GridSpec) -> GridSpec:
-    """``base`` with the parts given by the ``--{axis}-*`` flags laid over it.
+def _grid(base: GridSpec, section: str, args=None, axis: str = ""):
+    """The samples of ``base`` with the parts given by the ``--{axis}-*`` flags laid over it.
 
-    A grid the flags make invalid is a ``ConfigError`` that names those flags.
+    A grid that is invalid or too large to allocate is a ``ConfigError`` that
+    names the flags given, or else the config ``section``.
     """
-    given = {part: v for part in GRID_FLAGS if (v := getattr(args, f"{axis}_{part}")) is not None}
+    given = {part: v for part in GRID_FLAGS
+             if (v := getattr(args, f"{axis}_{part}", None)) is not None}
+    named = ", ".join(f"--{axis}-{GRID_FLAGS[part]}" for part in given) or section
     try:
-        return replace(base, **given)
-    except ConfigError as exc:
-        named = ", ".join(f"--{axis}-{GRID_FLAGS[part]}" for part in given)
+        return replace(base, **given).samples()
+    except (ConfigError, MemoryError) as exc:
         raise ConfigError(f"{named}: {exc}") from None
 
 
 def _emit(chunks, out: str | None) -> None:
     """Write the strings of ``chunks`` in turn to ``out``, or else to stdout."""
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as f:
-        with contextlib.suppress(BrokenPipeError):  # a reader that stops early, as `| head` does
+        try:
             f.writelines(chunks)
             f.flush()  # here, not at exit, where a failed flush prints an error and exits 120
+        except BrokenPipeError:  # a reader that stops early, as `| head` does
+            # what is left unwritten goes to devnull, so that the flush at exit cannot fail
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), f.fileno())
 
 
 def _map_params(args):
@@ -76,7 +83,7 @@ def _map_params(args):
 
 def cmd_dispersion(args) -> int:
     cfg = load_config(args.config)
-    fields = core.checked("field", _grid(args, "b", cfg.field_grid).samples(), 0.0)
+    fields = core.checked("field", _grid(cfg.field_grid, "field_grid", args, "b"), 0.0)
     flop = core.spin_flop_field(cfg.spins)
     lower, upper, clamped = core.zeeman_branches(cfg.spins.f_afmr0, cfg.spins.g_factor, fields)
     core.checked("upper branch f_afmr0 + g_factor * 13.996245 GHz/T * field", upper)
@@ -100,11 +107,14 @@ def cmd_sweep(args) -> int:
         Path(out).resolve(), spectra.sidecar_path(out).resolve()
     ):
         raise ConfigError(f"--out {out} would overwrite the config {args.config}")
-    field_axis = cfg.field_grid.samples()
-    freq_axis = cfg.freq_grid.samples()
-    tmap = spectra.synthesize_map(
-        field_axis, freq_axis, cfg.spins, cfg.cavity, cfg.coupling, cfg.loss
-    )
+    field_axis = _grid(cfg.field_grid, "field_grid")
+    freq_axis = _grid(cfg.freq_grid, "freq_grid")
+    try:
+        tmap = spectra.synthesize_map(
+            field_axis, freq_axis, cfg.spins, cfg.cavity, cfg.coupling, cfg.loss
+        )
+    except MemoryError as exc:
+        raise ConfigError(f"field_grid × freq_grid: {exc}") from None
     if cfg.noise_sigma_db > 0:
         try:
             tmap = spectra.add_noise(tmap, cfg.noise_sigma_db, cfg.seed)
@@ -188,8 +198,8 @@ def cmd_trend(args) -> int:
 
 def cmd_phase_map(args) -> int:
     cfg = load_config(args.config)
-    fields = _grid(args, "b", PHASE_FIELD_GRID).samples().tolist()
-    temps = _grid(args, "t", cfg.temperature_grid).samples().tolist()
+    fields = _grid(PHASE_FIELD_GRID, "--b-*", args, "b").tolist()
+    temps = _grid(cfg.temperature_grid, "temperature_grid", args, "t").tolist()
     labels = phase.phase_grid(fields, temps, cfg.boundaries, cfg.spins)
     note = "boundary shapes are approximate parametrized curves"
     if args.format == "json":

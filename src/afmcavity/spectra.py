@@ -82,46 +82,48 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
-def _evaluate_s21(freqs, f_magnon, big_g, cavity, loss, out=None) -> np.ndarray:
-    """|S21|² over a frequency array at one magnon frequency and coupling G, in real arithmetic.
+def _evaluate_s21(freqs, f_magnon, big_g, cavity, loss) -> np.ndarray:
+    """|S21|² in real arithmetic: row i at magnon frequency ``f_magnon[i]``, coupling ``big_g[i]``.
 
     With a = f − f_m, b = γ_m/2 and q = G²/(a² + b²), the magnon adds q·b to
     the cavity's half linewidth and shifts it by −q·a:
 
         |S21|² = κ_ext² / ((κ_tot/2 + q·b)² + (f − f_c − q·a)²)
 
-    with κ_tot and κ_ext those of ``cavity``.
-
-    The result is written into ``out`` when given; two more arrays of the
-    same size are used as scratch.
+    with κ_tot and κ_ext those of ``cavity``.  A scalar pair is one row.  Each
+    row is written in place, with two row-sized arrays as scratch.
     """
     freqs = np.asarray(freqs, dtype=float)
-    if out is None:
-        out = np.empty(freqs.shape)
-    big_g2 = big_g**2
+    f_magnon, big_g = np.atleast_1d(f_magnon, big_g)
+    values = np.empty((f_magnon.size, freqs.size))
+    a, q = np.empty(freqs.shape), np.empty(freqs.shape)
     kappa = cavity.total_linewidth
+    kappa_ext2 = (cavity.external_coupling_fraction * kappa) ** 2
     b = 0.5 * loss.magnon_linewidth
     with np.errstate(all="ignore"):
-        a = np.subtract(freqs, f_magnon)
-        q = np.multiply(a, a)
-        q += b * b
-        if big_g2 > 0:
-            np.divide(big_g2, q, out=q)
-        else:  # uncoupled, even a lossless magnon on resonance leaves the bare cavity
-            q.fill(0.0)
-        a *= q
-        np.subtract(freqs, cavity.f_cavity, out=out)
-        out -= a
-        out *= out
-        q *= b
-        q += 0.5 * kappa
-        q *= q
-        out += q
-        np.divide((cavity.external_coupling_fraction * kappa) ** 2, out, out=out)
-    # ∞·0 and 0/0 arise only at the two zero limits: a lossless magnon on
-    # resonance (q = G²/0) and a zero total denominator.  fmax maps NaN to 0.
-    # An overflow to inf drives q to 0 (a magnon detuned out of reach) or |S21|² to 0.
-    return np.fmax(out, 0.0, out=out)
+        detuning = np.subtract(freqs, cavity.f_cavity)
+        for out, f_m, g in zip(values, f_magnon.tolist(), big_g.tolist(), strict=True):
+            np.subtract(freqs, f_m, out=a)
+            np.multiply(a, a, out=q)
+            q += b * b
+            big_g2 = g**2
+            if big_g2 > 0:
+                np.divide(big_g2, q, out=q)
+            else:  # uncoupled, even a lossless magnon on resonance leaves the bare cavity
+                q.fill(0.0)
+            a *= q
+            np.subtract(detuning, a, out=out)
+            out *= out
+            q *= b
+            q += 0.5 * kappa
+            q *= q
+            out += q
+            np.divide(kappa_ext2, out, out=out)
+            # ∞·0 and 0/0 arise only at the two zero limits: a lossless magnon on
+            # resonance (q = G²/0) and a zero total denominator.  fmax maps NaN to 0.
+            # An overflow to inf drives q to 0 (a magnon detuned out of reach) or |S21|² to 0.
+            np.fmax(out, 0.0, out=out)
+    return values
 
 
 def s21_power(
@@ -143,7 +145,7 @@ def s21_power(
         raise ValueError(
             f"field {field} T lies beyond the spin-flop field {core.spin_flop_field(spins):.4f} T"
         )
-    return float(_evaluate_s21([f], branches.lower, coupling.big_g, cavity, loss)[0])
+    return float(_evaluate_s21([f], branches.lower, coupling.big_g, cavity, loss)[0, 0])
 
 
 def synthesize_map(
@@ -166,9 +168,7 @@ def synthesize_map(
     f_magnon, big_g, clamped = core.coupled_magnon(
         spins.f_afmr0, spins.g_factor, coupling.big_g, field_axis
     )
-    values = np.empty((field_axis.size, freq_axis.size))
-    for i, (f_m, g) in enumerate(zip(f_magnon.tolist(), big_g.tolist())):
-        _evaluate_s21(freq_axis, f_m, g, cavity, loss, out=values[i])
+    values = _evaluate_s21(freq_axis, f_magnon, big_g, cavity, loss)
     values.flags.writeable = False  # handed over without a copy
 
     metadata = {
@@ -214,9 +214,6 @@ class VerticalCut:
 
     def __iter__(self):
         return iter(zip(self.fields.tolist(), self.powers.tolist()))
-
-    def __len__(self) -> int:
-        return self.fields.size
 
 
 def vertical_cut(tmap: TransmissionMap, f: float) -> VerticalCut:

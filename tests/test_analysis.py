@@ -894,6 +894,16 @@ class TestTrendFit:
         with pytest.raises(analysis.FitError, match="^unphysical trend: fitted offset -1.03"):
             ac.fit_t4_trend([(0.5, -1.0), (1.0, 0.0), (1.5, 4.0)], sign="+")
 
+    def test_coefficient_against_sign_rejected(self):
+        t = np.linspace(0.3, 1.5, 9)
+        for sign, y, trend in (("-", 2.0 + 0.5 * t**4, "rise"), ("+", 2.0 - 0.5 * t**4, "fall")):
+            for exponent_free in (False, True):
+                with pytest.raises(analysis.FitError) as info:
+                    ac.fit_t4_trend(list(zip(t, y)), sign=sign, exponent_free=exponent_free)
+                head, rest = str(info.value).split(" contradicts ")
+                assert float(head.removeprefix("fitted coefficient ")) == pytest.approx(-0.5)
+                assert rest == f"sign {sign!r}: the data {trend} with temperature"
+
     def test_serialization_keys(self):
         fit = ac.fit_t4_trend([(0.5, 10.0), (1.0, 26.0)], sign="+")
         payload = fit.to_json_dict()

@@ -330,6 +330,24 @@ class TestTrend:
         payload = json.loads(capsys.readouterr().out)
         assert payload["coefficient"] == pytest.approx(0.2, rel=1e-6)
 
+    @pytest.mark.parametrize("flags", [[], ["--free-exponent"]], ids=["fixed", "free"])
+    def test_coefficient_against_sign_exit_2(self, tmp_path, capsys, flags):
+        path = tmp_path / "points.csv"
+        path.write_text("".join(f"{0.2 * i!r},{35 + 5 * (0.2 * i) ** 4!r}\n" for i in range(1, 8)))
+        assert main(["trend", str(path), "--sign", "-", *flags]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: fitted coefficient -5.000000000000005 contradicts sign '-': "
+            "the data rise with temperature\n"
+        ))
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_constant_data_exit_0_under_either_sign(self, tmp_path, capsys, sign):
+        # the coefficient fits ±1.27e-16, a rounding of zero and no contradiction of the sign
+        path = tmp_path / "points.csv"
+        path.write_text("".join(f"{float(t)!r},35\n" for t in np.linspace(0.2, 1.5, 8)))
+        assert main(["trend", str(path), "--sign", sign]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["coefficient"]) < 1e-15
+
     def test_bad_file_exit_2(self, tmp_path, capsys):
         assert main(["trend", "/nonexistent/points.csv"]) == 2
         path = tmp_path / "points.csv"
@@ -584,11 +602,19 @@ class TestExitCodes:
                      "and >= 0, got inf", id="noise-factor-default-grid"),
         # 1e15 samples: numpy refuses the allocation at once, so nothing is allocated
         pytest.param(["sweep"], {"field_grid": {"start": 0.0, "stop": 1.0, "step": 1e-15}},
-                     "Unable to allocate", id="grid-too-large"),
-        pytest.param(["dispersion", "--b-step", "1e-15"], {}, "Unable to allocate",
+                     "field_grid: Unable to allocate", id="grid-too-large"),
+        pytest.param(["dispersion", "--b-step", "1e-15"], {}, "--b-step: Unable to allocate",
                      id="b-step-too-large"),
-        pytest.param(["phase-map", "--t-step", "1e-15"], {}, "Unable to allocate",
+        pytest.param(["phase-map", "--t-step", "1e-15"], {}, "--t-step: Unable to allocate",
                      id="t-step-too-large"),
+        pytest.param(["sweep"], {"freq_grid": {"start": 8.0, "stop": 15.0, "step": 1e-15}},
+                     "freq_grid: Unable to allocate", id="freq-grid-too-large"),
+        # two axes of 56 MB each (the run peaks near 360 MB) whose 357 TiB map outgrows
+        # the 128-256 TiB a 47- or 48-bit address space holds: refused on any host
+        pytest.param(["sweep"], {"field_grid": {"start": 0.0, "stop": 0.7, "step": 1e-7},
+                                 "freq_grid": {"start": 8.0, "stop": 8.7, "step": 1e-7}},
+                     "field_grid × freq_grid: Unable to allocate 357. TiB for an array with "
+                     "shape (7000001, 7000001)", id="map-too-large"),
         # past 2**60 samples numpy cannot index a float64 axis's bytes
         pytest.param(["sweep"], {"field_grid": {"start": 0, "stop": 1, "step": 1e-300}},
                      "field_grid: grid of 1e+300 samples is too large to index",
@@ -760,6 +786,21 @@ class TestProcess:
             assert (first, code, err.read()) == (
                 b"# boundary shapes are approximate parametrized curves\n", 0, b""
             )
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["dispersion"], id="dispersion"),
+        pytest.param(["phase-map", "--b-step", "1", "--t-step", "1"], id="phase-map"),
+    ])
+    def test_reader_gone_before_start_exit_0_quietly(self, tmp_path, argv):
+        # the whole table fits stdout's buffer, so the first write to the pipe is a flush
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            run = subprocess.run([*AFMCAVITY, *argv], cwd=tmp_path, env=CHILD_ENV,
+                                 stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (run.returncode, run.stderr) == (0, b"")
 
 
 # Every section given, on small grids and with noise on: the base of the one-value changes below.

@@ -1,5 +1,6 @@
 """Tests for transmission-map synthesis, noise, cuts, and serialization."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -122,7 +123,7 @@ class TestKernelOracle:
                 f_m + rng.normal(0.0, gamma + 1e-6, 8),
             ])
             freqs = freqs[freqs > 0]
-            got = spectra._evaluate_s21(freqs, f_m, coupling.big_g, cavity, loss)
+            got = spectra._evaluate_s21(freqs, f_m, coupling.big_g, cavity, loss)[0]
             ref = _reference_s21(freqs, f_m, cavity, coupling, loss)
             assert np.array_equal(got == 0, ref == 0)
             nonzero = ref != 0
@@ -133,8 +134,8 @@ class TestKernelOracle:
     def test_lossless_magnon_on_resonance(self, cavity, coupling):
         loss = ac.LossParams(magnon_linewidth=0.0)
         f_m = 10.5
-        assert spectra._evaluate_s21([f_m], f_m, coupling.big_g, cavity, loss)[0] == 0.0
-        bare = spectra._evaluate_s21([f_m], f_m, 0.0, cavity, loss)[0]
+        assert spectra._evaluate_s21([f_m], f_m, coupling.big_g, cavity, loss)[0, 0] == 0.0
+        bare = spectra._evaluate_s21([f_m], f_m, 0.0, cavity, loss)[0, 0]
         detuning = f_m - cavity.f_cavity
         half = 0.5 * cavity.total_linewidth  # = κ_ext at the fraction 0.5
         assert bare > 0
@@ -144,16 +145,8 @@ class TestKernelOracle:
         # f_cavity / Q underflows to 0, so the denominator vanishes on resonance: 0/0 reads 0
         cavity = ac.CavityParams(f_cavity=1e-300, quality_factor=1e300)
         assert cavity.total_linewidth == 0.0
-        value = spectra._evaluate_s21([cavity.f_cavity], 30.0, 0.0, cavity, ac.LossParams())[0]
+        value = spectra._evaluate_s21([cavity.f_cavity], 30.0, 0.0, cavity, ac.LossParams())[0, 0]
         assert value == 0.0
-
-    def test_out_row_written_in_place(self, cavity, coupling, loss):
-        freqs = np.linspace(8.0, 15.0, 101)
-        out = np.full(freqs.size, np.nan)
-        result = spectra._evaluate_s21(freqs, 11.0, coupling.big_g, cavity, loss, out=out)
-        assert result is out
-        expected = spectra._evaluate_s21(freqs, 11.0, coupling.big_g, cavity, loss)
-        assert np.array_equal(out, expected)
 
 
 class TestTransmissionMap:
@@ -225,6 +218,22 @@ class TestSynthesizeMap:
         for i, b in enumerate(fields):
             for j, f in enumerate(freqs):
                 assert tmap.values[i, j] == ac.s21_power(f, b, spins, cavity, coupling, loss)
+
+    def test_clean_map_csv_digest_pinned(self):
+        # The sha256 of this CSV as written by commit 001851e, before the kernel took
+        # its rows as arrays.  Seven of the 56 fields lie past the spin-flop field.
+        # The kernel rounds only +, −, ×, ÷ (the same on any IEEE-754 host) and two
+        # scalar ``**2`` through libm ``pow``.  A change to the digest needs a reason
+        # in CHANGES.md.
+        cfg = ac.RunConfig()
+        tmap = ac.synthesize_map(
+            ac.GridSpec(start=0.0, stop=1.375, step=0.025).samples(),
+            ac.GridSpec(start=8.0, stop=15.0, step=0.02).samples(),
+            cfg.spins, cfg.cavity, cfg.coupling, cfg.loss,
+        )
+        assert tmap.shape == (56, 351) and len(tmap.metadata["beyond_spin_flop_fields"]) == 7
+        digest = hashlib.sha256(ac.map_to_csv(tmap).encode()).hexdigest()
+        assert digest == "2d6b22136f9a6401a7b06d4396ef51a142aab43ad62bbff662199daea4559c76"
 
     def test_zero_coupling_columns_identical(self, spins, cavity, zero_coupling, loss):
         tmap = ac.synthesize_map(
