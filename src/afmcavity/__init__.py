@@ -21,8 +21,8 @@ from .analysis import (
     magnon_linewidth_estimate,
 )
 from .config import ConfigError, GridSpec, RunConfig, load_config
-from .constants import GHZ_PER_TESLA_PER_G
 from .core import (
+    GHZ_PER_TESLA_PER_G,
     BranchPair,
     CavityParams,
     CouplingParams,

@@ -12,8 +12,7 @@ from dataclasses import asdict, dataclass, field as dataclass_field
 import numpy as np
 
 from . import core, optimize
-from .constants import GHZ_PER_TESLA_PER_G
-from .core import CavityParams, CouplingParams, SpinSystemParams
+from .core import GHZ_PER_TESLA_PER_G, CavityParams, CouplingParams, SpinSystemParams
 from .spectra import TransmissionMap, write_csv, write_json
 
 PARAMETER_ORDER = ("big_g", "f_afmr0", "g_factor", "f_cavity")

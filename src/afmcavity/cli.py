@@ -40,18 +40,19 @@ def _grid_flags(parser: argparse.ArgumentParser, axis: str, unit: str) -> None:
         parser.add_argument(f"--{axis}-{flag}", type=float, dest=f"{axis}_{part}", metavar=unit)
 
 
-def _grid(base: GridSpec, section: str, args=None, axis: str = ""):
+def _grid(base: GridSpec, section: str, name: str, args=None, axis: str = "", strict=False):
     """The samples of ``base`` with the parts given by the ``--{axis}-*`` flags laid over it.
 
-    A grid that is invalid or too large to allocate is a ``ConfigError`` that
-    names the flags given, or else the config ``section``.
+    A grid that is invalid, too large to allocate, or whose samples ``name`` are
+    not finite and >= 0 (> 0 if ``strict``) is a ``ConfigError`` that names the
+    flags given, or else the config ``section``.
     """
     given = {part: v for part in GRID_FLAGS
              if (v := getattr(args, f"{axis}_{part}", None)) is not None}
     named = ", ".join(f"--{axis}-{GRID_FLAGS[part]}" for part in given) or section
     try:
-        return replace(base, **given).samples()
-    except (ConfigError, MemoryError) as exc:
+        return core.checked(name, replace(base, **given).samples(), 0.0, strict)
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"{named}: {exc}") from None
 
 
@@ -83,7 +84,7 @@ def _map_params(args):
 
 def cmd_dispersion(args) -> int:
     cfg = load_config(args.config)
-    fields = core.checked("field", _grid(cfg.field_grid, "field_grid", args, "b"), 0.0)
+    fields = _grid(cfg.field_grid, "field_grid", "field", args, "b")
     flop = core.spin_flop_field(cfg.spins)
     lower, upper, clamped = core.zeeman_branches(cfg.spins.f_afmr0, cfg.spins.g_factor, fields)
     core.checked("upper branch f_afmr0 + g_factor * 13.996245 GHz/T * field", upper)
@@ -107,21 +108,21 @@ def cmd_sweep(args) -> int:
         Path(out).resolve(), spectra.sidecar_path(out).resolve()
     ):
         raise ConfigError(f"--out {out} would overwrite the config {args.config}")
-    field_axis = _grid(cfg.field_grid, "field_grid")
-    freq_axis = _grid(cfg.freq_grid, "freq_grid")
+    field_axis = _grid(cfg.field_grid, "field_grid", "field")
+    freq_axis = _grid(cfg.freq_grid, "freq_grid", "frequency", strict=True)
     try:
         tmap = spectra.synthesize_map(
             field_axis, freq_axis, cfg.spins, cfg.cavity, cfg.coupling, cfg.loss
         )
-    except MemoryError as exc:
+        if cfg.noise_sigma_db > 0:
+            try:
+                tmap = spectra.add_noise(tmap, cfg.noise_sigma_db, cfg.seed)
+            except ValueError as exc:  # the noisy map's own check: a factor 10^(n/10) past 1e308
+                raise ConfigError(
+                    f"noise_sigma_db: {cfg.noise_sigma_db!r} overflows the noise factor: {exc}"
+                ) from None
+    except MemoryError as exc:  # the map or its noise
         raise ConfigError(f"field_grid × freq_grid: {exc}") from None
-    if cfg.noise_sigma_db > 0:
-        try:
-            tmap = spectra.add_noise(tmap, cfg.noise_sigma_db, cfg.seed)
-        except ValueError as exc:  # the noisy map's own check: a factor 10^(n/10) past 1e308
-            raise ConfigError(
-                f"noise_sigma_db: {cfg.noise_sigma_db!r} overflows the noise factor: {exc}"
-            ) from None
     tmap = replace(tmap, metadata={**tmap.metadata, "config": cfg.to_dict()})
     spectra.save_map(tmap, out, db=args.db)
     return EXIT_OK
@@ -198,8 +199,8 @@ def cmd_trend(args) -> int:
 
 def cmd_phase_map(args) -> int:
     cfg = load_config(args.config)
-    fields = _grid(PHASE_FIELD_GRID, "--b-*", args, "b").tolist()
-    temps = _grid(cfg.temperature_grid, "temperature_grid", args, "t").tolist()
+    fields = _grid(PHASE_FIELD_GRID, "--b-*", "field", args, "b").tolist()
+    temps = _grid(cfg.temperature_grid, "temperature_grid", "temperature", args, "t").tolist()
     labels = phase.phase_grid(fields, temps, cfg.boundaries, cfg.spins)
     note = "boundary shapes are approximate parametrized curves"
     if args.format == "json":

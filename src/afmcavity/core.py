@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import GHZ_PER_TESLA_PER_G
+# GHz per tesla per unit g (mu_B / h, 13.996245 GHz/T), from CODATA 2018 mu_B and SI 2019 h
+GHZ_PER_TESLA_PER_G = 9.2740100783e-24 / 6.62607015e-34 * 1e-9
 
 
 def checked(name: str, value, low: float = -np.inf, strict: bool = False):
@@ -111,9 +112,12 @@ def zeeman_branches(f_afmr0, g_factor, field):
     boolean mask ``clamped`` marks those entries.
     """
     with np.errstate(over="ignore"):  # far past the spin flop: lower -inf, upper inf
-        zeeman = g_factor * GHZ_PER_TESLA_PER_G * np.asarray(field, dtype=float)
-        lower = f_afmr0 - zeeman
-        return np.maximum(lower, 0.0), f_afmr0 + zeeman, lower < 0.0
+        upper = g_factor * GHZ_PER_TESLA_PER_G * np.asarray(field, dtype=float)  # g * gamma1 * B
+        lower = f_afmr0 - upper
+        upper += f_afmr0  # the Zeeman term's buffer becomes the upper branch
+        clamped = lower < 0.0
+        # clamped in place; a 0-d field's arithmetic gives numpy scalars, which take no out=
+        return np.maximum(lower, 0.0, out=lower if np.ndim(lower) else None), upper, clamped
 
 
 def coupled_magnon(f_afmr0, g_factor, big_g, field):
@@ -121,7 +125,8 @@ def coupled_magnon(f_afmr0, g_factor, big_g, field):
 
     Past the spin-flop field f_m is clamped at 0 and G is 0, leaving the bare cavity.
     """
-    f_m, _, clamped = zeeman_branches(f_afmr0, g_factor, field)
+    f_m, upper, clamped = zeeman_branches(f_afmr0, g_factor, field)
+    del upper  # freed before np.where allocates G's array
     return f_m, np.where(clamped, 0.0, big_g), clamped
 
 
@@ -189,15 +194,20 @@ def coupling_regime(
 
     strong: G exceeds both the cavity and magnon linewidths; ultrastrong
     additionally requires G/f_cavity >= 0.1 and deep-strong >= 1.  Purely
-    ratio-based, so invariant under a common rescaling of all frequencies.
+    ratio-based, so invariant under a common rescaling of all frequencies: a
+    value within 2 eps (relative) of its bound counts as reaching it.
     """
     magnon_linewidth = checked("magnon_linewidth", magnon_linewidth, 0.0)
     ratio = coupling.big_g / cavity.f_cavity
-    if coupling.big_g <= max(cavity.total_linewidth, magnon_linewidth):
+    # A rescaling rounds G, f_cavity and the magnon linewidth, then G / f_cavity and
+    # f_cavity / Q once more: each compared quotient moves by at most 3 units of
+    # rounding (1.5 eps) from its exact value, and 2 eps also covers the product below.
+    reach = 1.0 - 2.0 * np.finfo(float).eps
+    if coupling.big_g * reach <= max(cavity.total_linewidth, magnon_linewidth):
         label = "weak"
-    elif ratio >= 1.0:
+    elif ratio >= reach:
         label = "deep-strong"
-    elif ratio >= 0.1:
+    elif ratio >= 0.1 * reach:
         label = "ultrastrong"
     else:
         label = "strong"

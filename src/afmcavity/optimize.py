@@ -35,13 +35,13 @@ def levenberg_marquardt(
     fun: Callable[[np.ndarray], np.ndarray],
     x0,
     jac: Callable[[np.ndarray], np.ndarray],
-    max_iterations: int = MAX_ITERATIONS,
 ) -> LMResult:
     """Minimize sum(fun(x)**2) starting from x0.
 
     ``fun`` maps parameters to a residual vector; ``jac`` to its Jacobian.
     ``converged`` is set only when the gradient criterion is met, so a True
-    flag certifies a stationary point to ``GRADIENT_TOL``.
+    flag certifies a stationary point to ``GRADIENT_TOL``.  At most
+    ``MAX_ITERATIONS`` steps are taken.
     """
     x = np.array(x0, dtype=float).ravel()
     r = np.asarray(fun(x), dtype=float)
@@ -52,11 +52,11 @@ def levenberg_marquardt(
     lam = 1e-3
     message = ""
 
-    for iterations in range(max(max_iterations, 0) + 1):  # a negative cap acts as 0
+    for iterations in range(MAX_ITERATIONS + 1):
         grad = jmat.T @ r
         gradient_norm = float(np.max(np.abs(grad))) if grad.size else 0.0
         converged = gradient_norm < GRADIENT_TOL
-        if converged or message or iterations >= max_iterations:
+        if converged or message or iterations >= MAX_ITERATIONS:
             break
 
         normal = jmat.T @ jmat

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import afmcavity as ac
-from afmcavity.constants import GHZ_PER_TESLA_PER_G
+from afmcavity import GHZ_PER_TESLA_PER_G
 
 
 def _report(number: int, name: str, started: float, limit: float) -> None:

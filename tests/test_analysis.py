@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import afmcavity as ac
-from afmcavity import analysis, optimize, spectra
+from afmcavity import GHZ_PER_TESLA_PER_G, analysis, optimize, spectra
 from afmcavity.analysis import _make_objective
-from afmcavity.constants import GHZ_PER_TESLA_PER_G
 from conftest import map_freq_step, numerical_jacobian
 
 

@@ -1,6 +1,7 @@
 """Integration tests for the command-line surface and its exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -69,7 +70,9 @@ class TestDispersion:
     def test_negative_field_exit_2(self, capsys):
         code = main(["dispersion", "--b-min", "-0.2", "--b-max", "0.5", "--b-step", "0.01"])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: --b-min, --b-max, --b-step: field must be finite and >= 0, got -0.2\n"
+        )
 
     def test_json_format(self, capsys):
         code = main([
@@ -644,6 +647,25 @@ class TestExitCodes:
         pytest.param(["sweep"], {"field_grid": {"start": 1, "stop": 0, "step": 0.1}},
                      "field_grid: grid (stop - start) / step must be finite and >= 0, got -10.0\n",
                      id="reversed-field-grid"),
+        # a grid whose samples fall below its axis's bound
+        pytest.param(["sweep"], {"field_grid": {"start": -1, "stop": 0, "step": 0.5}},
+                     "field_grid: field must be finite and >= 0, got -1.0\n",
+                     id="negative-field-grid-sweep"),
+        pytest.param(["dispersion"], {"field_grid": {"start": -1, "stop": 0, "step": 0.5}},
+                     "field_grid: field must be finite and >= 0, got -1.0\n",
+                     id="negative-field-grid-dispersion"),
+        pytest.param(["dispersion", "--b-min", "-1"], {},
+                     "--b-min: field must be finite and >= 0, got -1.0\n",
+                     id="negative-dispersion-flag"),
+        pytest.param(["phase-map", "--b-min", "-1"], {},
+                     "--b-min: field must be finite and >= 0, got -1.0\n",
+                     id="negative-phase-map-flag"),
+        pytest.param(["sweep"], {"freq_grid": {"start": 0, "stop": 1, "step": 0.5}},
+                     "freq_grid: frequency must be finite and > 0, got 0.0\n",
+                     id="zero-freq-grid"),
+        pytest.param(["phase-map"], {"temperature_grid": {"start": -1, "stop": 1, "step": 0.5}},
+                     "temperature_grid: temperature must be finite and >= 0, got -1.0\n",
+                     id="negative-temperature-grid"),
     ])
     def test_overflowing_derived_quantity_exit_2(self, tmp_path, capsys, argv, raw, expected):
         cfg = tmp_path / "run.json"
@@ -651,6 +673,24 @@ class TestExitCodes:
         assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {expected}") and err.count("\n") == 1
+
+    def test_noise_too_large_to_allocate_exit_2(self, tmp_path, monkeypatch, capsys):
+        # stands in for numpy's refusal, so that nothing is allocated
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.00 TiB for an array with shape (1, 1) "
+                              "and data type float64")
+
+        monkeypatch.setattr(spectra, "add_noise", refuse)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"noise_sigma_db": 0.2,
+                                   "field_grid": {"start": 0.0, "stop": 0.0, "step": 1.0},
+                                   "freq_grid": {"start": 8.0, "stop": 8.0, "step": 1.0}}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: field_grid × freq_grid: Unable to allocate 1.00 TiB for an array with "
+            "shape (1, 1) and data type float64\n"
+        )
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-1.0"])
     def test_bad_cell_exit_2(self, sweep_map, tmp_path, capsys, cell):
@@ -845,20 +885,38 @@ class TestConfigValues:
         assert _config_outputs(tmp_path, raw) != base_outputs, f"{'.'.join(path)} changes nothing"
 
 
-class TestDeterminism:
-    def test_dispersion_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["dispersion", "--b-min", "0", "--b-max", "1.3", "--b-step", "0.01"]
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+class TestTableDigests:
+    """The sha256 of each CLI table as written by commit d1e769c.
 
-    def test_phase_map_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["phase-map", "--b-step", "0.25", "--t-step", "0.25"]
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+    ``dispersion`` rounds only ×, −, + and ``maximum``, and ``phase-map``'s curves
+    use Python ``**`` at the default exponent 2.0, which a correctly rounded ``pow``
+    computes exactly, so the bytes should be the same on any IEEE-754 host.  A
+    change to a digest needs a reason in CHANGES.md.
+    """
+
+    @pytest.mark.parametrize("argv, digest", [
+        # 131 rows, nine of them past the spin-flop field, where the lower branch is clamped
+        pytest.param(["dispersion", "--b-min", "0", "--b-max", "1.3", "--b-step", "0.01"],
+                     "cd1f82551e36939a05ecb007fa957364b48f694c1fa87f46a3c6069f2d02e844",
+                     id="dispersion-csv"),
+        pytest.param(["dispersion", "--b-min", "0", "--b-max", "1.3", "--b-step", "0.01",
+                      "--format", "json"],
+                     "fd80b0c721e5e64c1015b68a5374ffe48841eed694fb6710b73e4296f37ab17a",
+                     id="dispersion-json"),
+        pytest.param(["phase-map"],
+                     "aaabccbc0558aa4e077d1ac91bd3e54c889989d378c00bd791ced14b383a7d1f",
+                     id="phase-map-csv"),
+        pytest.param(["phase-map", "--format", "json"],
+                     "a71a629ef7cdb82e841e02f472447ed4e3e03afd82190d83f24a6d645021d3bb",
+                     id="phase-map-json"),
+        pytest.param(["phase-map", "--b-step", "0.25", "--t-step", "0.25"],
+                     "6a1b534c87c4311d7f041b48751f70543b4e7a85522168cb045e997354ec0ed5",
+                     id="phase-map-coarse-csv"),
+    ])
+    def test_table_digest_pinned(self, tmp_path, argv, digest):
+        out = tmp_path / "table"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestCsvBytes:

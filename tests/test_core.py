@@ -3,11 +3,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import afmcavity as ac
-from afmcavity.constants import GHZ_PER_TESLA_PER_G
+from afmcavity import GHZ_PER_TESLA_PER_G
 
 # Independent scalar evaluation of the Zeeman slope from the pinned constants.
 MU_B = 9.2740100783e-24  # J/T
@@ -291,6 +291,9 @@ class TestCouplingRegime:
         scale=st.floats(1e-3, 1e3),
     )
     @settings(max_examples=200)
+    # G / f_cavity at 0.1 (it read 0.09999999999999999 rescaled), and G at f_cavity / Q
+    @example(g=0.1, fc=1.0, gm=0.0, scale=5.140625)
+    @example(g=0.024777786675962508, fc=32.21112267875126, gm=0.0, scale=269.78744397715656)
     def test_rescaling_invariance(self, g, fc, gm, scale):
         report = ac.coupling_regime(
             ac.CouplingParams(big_g=g), ac.CavityParams(f_cavity=fc), gm

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import afmcavity as ac
-from afmcavity import cli, phase
-from afmcavity.constants import GHZ_PER_TESLA_PER_G
+from afmcavity import GHZ_PER_TESLA_PER_G, cli, phase
 
 
 @pytest.fixture(scope="module")
