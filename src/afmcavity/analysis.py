@@ -272,10 +272,11 @@ def fit_avoided_crossing(
 
     ``free`` selects the fitted parameters among ``big_g``, ``f_afmr0``,
     ``g_factor`` and ``f_cavity``; everything else is held at the values in
-    ``spins``/``cavity``/``coupling``.  Each peak is matched to the nearest
-    model branch anew on every iteration and the summed squared distance is
-    minimized by damped least squares.  ``window`` defaults to
-    ``FIT_WINDOW``, whose upper edge keeps the fit away from the spin-flop region.
+    ``spins``/``cavity``/``coupling``, so a held G needs ``coupling``.  Each
+    peak is matched to the nearest model branch anew on every iteration and
+    the summed squared distance is minimized by damped least squares.
+    ``window`` defaults to ``FIT_WINDOW``, whose upper edge keeps the fit
+    away from the spin-flop region.
     """
     free = tuple(dict.fromkeys(free))
     unknown = [name for name in free if name not in PARAMETER_ORDER]
@@ -283,6 +284,8 @@ def fit_avoided_crossing(
         raise ValueError(f"unknown fit parameters: {unknown}")
     if not free:
         raise ValueError("free parameter mask is empty; nothing to fit")
+    if coupling is None and "big_g" not in free:
+        raise ValueError("big_g is held fixed, so coupling must give its value")
     if window is None:
         window = FIT_WINDOW
     lo, hi = float(window[0]), float(window[1])

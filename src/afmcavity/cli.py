@@ -108,6 +108,7 @@ def cmd_sweep(args) -> int:
         Path(out).resolve(), spectra.sidecar_path(out).resolve()
     ):
         raise ConfigError(f"--out {out} would overwrite the config {args.config}")
+    spectra.checked_map_path(out)
     field_axis = _grid(cfg.field_grid, "field_grid", "field")
     freq_axis = _grid(cfg.freq_grid, "freq_grid", "frequency", strict=True)
     try:

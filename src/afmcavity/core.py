@@ -88,7 +88,7 @@ class BranchPair:
     """An ordered pair of mode frequencies (GHz).
 
     ``clamped`` marks a lower branch that was pinned at zero because the
-    requested field lies beyond the spin-flop transition, where the linear
+    requested field is past the spin-flop transition, where the linear
     two-sublattice model stops being valid.
     """
 

@@ -55,15 +55,12 @@ def neel_temperature_at(b: float, boundaries: PhaseBoundaries, spins: SpinSystem
 def spin_flop_boundary(t: float, boundaries=PhaseBoundaries(), spins=SpinSystemParams()) -> float:
     """Field of the AFM / spin-flop boundary at temperature ``t`` (tesla).
 
-    Monotone non-increasing in temperature and flat near zero; only defined
-    below the zero-field ordering temperature.
+    Monotone non-increasing in temperature and flat near zero; 0 at and above
+    the zero-field ordering temperature.
     """
     t = core.checked("temperature", t, 0.0)
-    if t >= spins.neel_temperature:
-        raise ValueError(
-            f"temperature {t} K is at or above the zero-field ordering "
-            f"temperature {spins.neel_temperature} K; no ordered boundary there"
-        )
+    if t >= spins.neel_temperature:  # the power below is >= 1 there, and may overflow
+        return 0.0
     reduced = (t / spins.neel_temperature) ** boundaries.spin_flop_exponent
     return core.spin_flop_field(spins) * (1.0 - reduced)
 
@@ -88,9 +85,7 @@ def _phase_labels(
     if not flop < saturation:
         raise ValueError(f"spin-flop field ({flop}) must be below saturation_field ({saturation})")
     paramagnetic = t >= _curve(neel_temperature_at, b, boundaries, spins)
-    # at or above the zero-field ordering temperature every point is paramagnetic
-    ordered_t = np.where(t < spins.neel_temperature, t, 0.0)
-    antiferro = b < _curve(spin_flop_boundary, ordered_t, boundaries, spins)
+    antiferro = b < _curve(spin_flop_boundary, t, boundaries, spins)
     return _LABELS[np.where(paramagnetic, 2, np.where(antiferro, 0, 1))]
 
 

@@ -134,18 +134,14 @@ def s21_power(
     coupling: CouplingParams,
     loss: LossParams,
 ) -> float:
-    """Linear power transmission at a single (frequency, field) point.
+    """Linear power transmission at a single (frequency, field) point: the map's cell there.
 
-    Fields past the spin-flop transition are rejected: the magnon branch is
-    clamped at zero there and a map holds the bare cavity instead.
+    Past the spin-flop field the cavity is bare (see :func:`core.coupled_magnon`).
     """
     f = core.checked("f", f, 0.0, strict=True)
-    branches = core.magnon_branches(spins, field)
-    if branches.clamped:
-        raise ValueError(
-            f"field {field} T lies beyond the spin-flop field {core.spin_flop_field(spins):.4f} T"
-        )
-    return float(_evaluate_s21([f], branches.lower, coupling.big_g, cavity, loss)[0, 0])
+    field = core.checked("field", field, 0.0)
+    f_m, big_g, _ = core.coupled_magnon(spins.f_afmr0, spins.g_factor, coupling.big_g, field)
+    return float(_evaluate_s21([f], f_m, big_g, cavity, loss)[0, 0])
 
 
 def synthesize_map(
@@ -365,9 +361,16 @@ def sidecar_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".json")
 
 
+def checked_map_path(csv_path) -> Path:
+    """``csv_path`` as a Path, unless it names its own sidecar (a ``.json`` map): ValueError."""
+    if sidecar_path(csv_path) == Path(csv_path):
+        raise ValueError(f"map path {csv_path} would be overwritten by its own .json sidecar")
+    return Path(csv_path)
+
+
 def save_map(tmap: TransmissionMap, csv_path, db: bool = False) -> Path:
-    """Write the CSV plus a JSON metadata sidecar with the same stem."""
-    csv_path = Path(csv_path)
+    """Write the CSV plus a JSON metadata sidecar with the same stem (not a ``.json`` CSV)."""
+    csv_path = checked_map_path(csv_path)
     csv_path.write_text(map_to_csv(tmap, db=db))
     sidecar_path(csv_path).write_text(write_json(tmap.metadata))
     return csv_path

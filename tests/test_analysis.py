@@ -591,6 +591,11 @@ class TestFitAvoidedCrossing:
         assert report.fixed["big_g"] == 1.72
         assert report.value_of("f_afmr0") == pytest.approx(34.0, rel=1e-3)
 
+    def test_held_coupling_needs_a_value(self, default_peaks, spins, cavity):
+        # no G is made up for the fit to hold: half the smallest splitting is not a given value
+        with pytest.raises(ValueError, match="coupling must give its value"):
+            ac.fit_avoided_crossing(default_peaks, spins, cavity, free=("f_afmr0",))
+
     def test_report_serialization_keys(self, default_peaks, spins, cavity):
         report = ac.fit_avoided_crossing(default_peaks, spins, cavity, free=("big_g",))
         payload = report.to_json_dict()

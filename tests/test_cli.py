@@ -159,6 +159,19 @@ class TestSweep:
         assert cfg.read_text() == text
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
+    def test_json_out_exit_2_before_synthesis(self, tmp_path, capsys, monkeypatch):
+        # the map would be overwritten by its own sidecar; the path is refused before any work
+        def no_synthesis(*args):
+            raise AssertionError("synthesize_map called")
+
+        monkeypatch.setattr(spectra, "synthesize_map", no_synthesis)
+        out = tmp_path / "x.json"
+        assert main(["sweep", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: map path {out} would be overwritten by its own .json sidecar\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFit:
     def test_recovers_coupling_and_reports_regime(self, sweep_map, tmp_path, capsys):

@@ -127,13 +127,13 @@ class TestSpinFlopBoundary:
         t_near = spins.neel_temperature * (1 - 1e-9)
         assert ac.spin_flop_boundary(t_near, bounds) == pytest.approx(0.0, abs=1e-6)
 
-    def test_rejects_temperatures_at_or_above_ordering(self, spins, bounds):
-        with pytest.raises(ValueError):
-            ac.spin_flop_boundary(spins.neel_temperature, bounds)
-        with pytest.raises(ValueError):
-            ac.spin_flop_boundary(3.0, bounds)
-        with pytest.raises(ValueError):
-            ac.spin_flop_boundary(-0.1, bounds)
+    def test_zero_at_or_above_ordering_and_rejects_negative(self, spins, bounds):
+        assert ac.spin_flop_boundary(spins.neel_temperature, bounds) == 0.0
+        assert ac.spin_flop_boundary(3.0, bounds) == 0.0
+        assert ac.spin_flop_boundary(1e300, bounds) == 0.0  # returns before the power overflows
+        for bad in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="temperature must be finite"):
+                ac.spin_flop_boundary(bad, bounds)
 
 
 class TestPathMonotonicity:

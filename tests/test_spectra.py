@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,17 @@ from conftest import map_freq_step
 @pytest.fixture(scope="module")
 def zero_coupling():
     return ac.CouplingParams(big_g=0.0)
+
+
+@pytest.fixture(scope="module")
+def digest_map():
+    """A clean 56×351 map of ``RunConfig()``'s model, pinned by its CSV digest."""
+    cfg = ac.RunConfig()
+    return ac.synthesize_map(
+        ac.GridSpec(start=0.0, stop=1.375, step=0.025).samples(),
+        ac.GridSpec(start=8.0, stop=15.0, step=0.02).samples(),
+        cfg.spins, cfg.cavity, cfg.coupling, cfg.loss,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +73,15 @@ class TestS21Power:
         value = ac.s21_power(f, 0.2, spins, cavity, coupling, loss)
         assert value < 1e-4 * peak
 
-    def test_beyond_spin_flop_rejected(self, spins, cavity, coupling, loss):
-        with pytest.raises(ValueError, match="spin-flop"):
-            ac.s21_power(11.0, 1.3, spins, cavity, coupling, loss)
+    def test_beyond_spin_flop_is_bare_cavity(self, spins, cavity, coupling, loss):
+        # past the spin-flop field (1.2146 T) the magnon decouples: the bare cavity's closed form
+        kappa_tot = cavity.total_linewidth
+        kappa_ext = cavity.external_coupling_fraction * kappa_tot
+        for b in (1.3, 1.5, 10.0):
+            for f in (8.0, 11.0, cavity.f_cavity, 11.3, 15.0):
+                bare = kappa_ext**2 / ((kappa_tot / 2) ** 2 + (f - cavity.f_cavity) ** 2)
+                value = ac.s21_power(f, b, spins, cavity, coupling, loss)
+                assert value == pytest.approx(bare, rel=1e-12)
 
     def test_no_nan_on_random_draws(self, spins, cavity, coupling, loss):
         # dense random grid = 10^6 samples of the allowed domain
@@ -212,25 +230,20 @@ class TestSynthesizeMap:
         tmap = ac.synthesize_map([0.3], [11.0], spins, cavity, coupling, loss)
         assert tmap.shape == (1, 1)
         assert tmap.values[0, 0] == ac.s21_power(11.0, 0.3, spins, cavity, coupling, loss)
-        fields = [0.0, 0.3, 0.62, 0.6617, 0.7, 1.1, 1.2]
+        fields = [0.0, 0.3, 0.62, 0.6617, 0.7, 1.1, 1.2, 1.3, 1.5]  # the last two past the flop
         freqs = [8.0, 9.53, 11.0, 11.245, 12.9, 15.0]
         tmap = ac.synthesize_map(fields, freqs, spins, cavity, coupling, loss)
         for i, b in enumerate(fields):
             for j, f in enumerate(freqs):
                 assert tmap.values[i, j] == ac.s21_power(f, b, spins, cavity, coupling, loss)
 
-    def test_clean_map_csv_digest_pinned(self):
+    def test_clean_map_csv_digest_pinned(self, digest_map):
         # The sha256 of this CSV as written by commit 001851e, before the kernel took
         # its rows as arrays.  Seven of the 56 fields lie past the spin-flop field.
         # The kernel rounds only +, −, ×, ÷ (the same on any IEEE-754 host) and two
         # scalar ``**2`` through libm ``pow``.  A change to the digest needs a reason
         # in CHANGES.md.
-        cfg = ac.RunConfig()
-        tmap = ac.synthesize_map(
-            ac.GridSpec(start=0.0, stop=1.375, step=0.025).samples(),
-            ac.GridSpec(start=8.0, stop=15.0, step=0.02).samples(),
-            cfg.spins, cfg.cavity, cfg.coupling, cfg.loss,
-        )
+        tmap = digest_map
         assert tmap.shape == (56, 351) and len(tmap.metadata["beyond_spin_flop_fields"]) == 7
         digest = hashlib.sha256(ac.map_to_csv(tmap).encode()).hexdigest()
         assert digest == "2d6b22136f9a6401a7b06d4396ef51a142aab43ad62bbff662199daea4559c76"
@@ -336,6 +349,34 @@ class TestAddNoise:
         noisy = ac.add_noise(default_map, 0.3, 5)
         assert noisy.metadata["noise"] == {"sigma_db": 0.3, "seed": 5}
 
+    def test_noisy_map_matches_reference(self, digest_map):
+        """0.2 dB at seed 3 on the digest test's map, against ``tests/data`` (see its README).
+
+        ``add_noise`` runs four operations per cell: n = σ·z from the normal draw,
+        x = n / 10, y = 10^x through ``np.power``, and y × clean.  The draw (a
+        ziggurat: z is an integer times a table entry), ``/ 10`` and ``×`` are
+        correctly rounded, so x is the same on every IEEE-754 host, and the digest
+        test pins the clean map.  Only ``np.power`` is dispatched per CPU: take it
+        within P = 4 ulp of 10^x (SVML's low-accuracy pow, the loosest that numpy
+        ships; glibc's is within 1).  Two hosts' y then differ by at most
+        2P·eps·10^x, and each rounds y × clean once more (eps/2), so a cell moves
+        by at most (2P + 1)·eps relative, to first order in eps.  A draw from the
+        ziggurat's tail (|z| > 3.654, six cells here) also passes through
+        ``log1p``: taking that within 2 ulp, with the roundings of z, n and x, x
+        moves by at most 8·eps·|x| and y by ln(10) times that.  A host whose
+        ``exp`` or ``log1p`` flips one of the draw's accept tests changes the
+        stream itself, at odds of about eps per test.
+        """
+        reference = np.load(Path(__file__).parent / "data" / "noisy_map_0.2db_seed3.npy")
+        clean = digest_map.values
+        noisy = ac.add_noise(digest_map, 0.2, 3).values
+        eps, ulps = np.finfo(float).eps, 4
+        exponent = np.abs(np.log10(reference / clean))  # |x| of each cell, to within 1e-15
+        assert exponent.max() < 0.1  # sub-dB noise: the tail term stays below 2 eps
+        bound = (2 * ulps + 1 + 8 * np.log(10) * exponent) * eps * (1 + 100 * eps) * reference
+        assert reference.shape == noisy.shape == (56, 351)
+        assert np.all(np.abs(noisy - reference) <= bound)
+
 
 class TestVerticalCut:
     def test_on_grid_frequency_verbatim(self, default_map):
@@ -398,6 +439,13 @@ class TestSerialization:
         ac.save_map(bare, path)
         path.with_suffix(".json").unlink()
         assert ac.load_map(path).metadata == {}
+
+    def test_json_map_path_rejected_before_writing(self, tmp_path):
+        # a .json map path is its own sidecar path: the sidecar would replace the map
+        bare = ac.TransmissionMap([0.1, 0.2], [1.0, 2.0], np.ones((2, 2)))
+        with pytest.raises(ValueError, match="would be overwritten by its own .json sidecar"):
+            ac.save_map(bare, tmp_path / "y.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_header_checked(self):
         with pytest.raises(ValueError, match="line 1"):
