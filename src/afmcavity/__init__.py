@@ -29,7 +29,6 @@ from .core import (
     RegimeReport,
     SpinSystemParams,
     coupling_regime,
-    crossing_field,
     magnon_branches,
     polariton_frequencies,
     spin_flop_field,
@@ -85,7 +84,6 @@ __all__ = [
     "add_noise",
     "classify_phase",
     "coupling_regime",
-    "crossing_field",
     "extract_peaks",
     "field_linewidth",
     "fit_avoided_crossing",

@@ -13,15 +13,12 @@ import numpy as np
 
 from . import core, optimize
 from .core import GHZ_PER_TESLA_PER_G, CavityParams, CouplingParams, SpinSystemParams
+from .optimize import FitError
 from .spectra import TransmissionMap, write_csv, write_json
 
 PARAMETER_ORDER = ("big_g", "f_afmr0", "g_factor", "f_cavity")
 MIN_PROMINENCE = 0.1  # extract_peaks' default, a fraction of the column maximum
 FIT_WINDOW = (0.0, 1.1)  # tesla; fit_avoided_crossing's default, short of the spin-flop region
-
-
-class FitError(ValueError):
-    """Raised when input data cannot support the requested fit."""
 
 
 class ConvergenceError(RuntimeError):
@@ -314,16 +311,12 @@ def fit_avoided_crossing(
     p_arr = np.array([p for c in columns for p in c.positions])
     residual, jacobian = _make_objective(b_arr, p_arr, baseline, names)
     x0 = np.array([baseline[name] for name in names])
-    result = optimize.levenberg_marquardt(residual, x0, jac=jacobian)
-    uncertainties = optimize.covariance_uncertainties(result.jacobian, result.residual)
-    unbounded = [name for name, u in zip(names, uncertainties) if not np.isfinite(u)]
-    if unbounded:
-        raise FitError(f"the peaks do not constrain {', '.join(unbounded)}: uncertainty overflows")
+    result = optimize.solve(residual, x0, jacobian, names)
     fixed = {name: baseline[name] for name in PARAMETER_ORDER if name not in names}
     return FitReport(
         parameter_names=names,
         values=tuple(float(v) for v in result.x),
-        uncertainties=tuple(float(u) for u in uncertainties),
+        uncertainties=tuple(float(u) for u in result.uncertainties),
         residual_rms=float(np.sqrt(result.cost / result.residual.size)),
         window=(lo, hi),
         iterations=result.iterations,
@@ -398,9 +391,8 @@ def field_linewidth(cut) -> float:
             ]
         )
 
-    result = optimize.levenberg_marquardt(
-        residual, np.array([0.0, 1.0, 1.0, 0.0]), jac=jacobian
-    )
+    names = ("center", "width", "amplitude", "offset")
+    result = optimize.solve(residual, np.array([0.0, 1.0, 1.0, 0.0]), jacobian, names)
     if not result.converged:
         raise ConvergenceError(f"linewidth fit did not converge: {result.message}")
     return float(abs(result.x[1]) * width0)
@@ -513,7 +505,7 @@ def fit_t4_trend(
             tp = t**p
             return np.column_stack([np.ones_like(t), s * tp, s * bb * tp * np.log(t)])
 
-        result = optimize.levenberg_marquardt(residual, x, jac=jacobian)
+        result = optimize.solve(residual, x, jacobian, ("offset", "coefficient", "exponent"))
         if not result.converged:
             raise ConvergenceError(f"trend fit did not converge: {result.message}")
         x = result.x

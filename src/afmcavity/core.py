@@ -167,18 +167,6 @@ def polariton_frequencies(
     return BranchPair(lower=float(lower), upper=float(upper))
 
 
-def crossing_field(spins: SpinSystemParams, cavity: CavityParams) -> float:
-    """Field (tesla) where the descending lower magnon branch meets the cavity."""
-    if spins.f_afmr0 <= cavity.f_cavity:
-        raise ValueError(
-            "no crossing: zero-field resonance "
-            f"{spins.f_afmr0} GHz does not exceed the cavity at {cavity.f_cavity} GHz"
-        )
-    return (spins.f_afmr0 - cavity.f_cavity) / (
-        spins.g_factor * GHZ_PER_TESLA_PER_G
-    )
-
-
 @dataclass(frozen=True)
 class RegimeReport:
     """Coupling-regime label plus the ratio G / f_cavity it was judged on."""

@@ -3,12 +3,12 @@
 Sized for the dense, few-parameter problems in this toolkit: normal equations
 are formed explicitly and damped with a Marquardt diagonal.  The schedule is
 the classic one: shrink the damping after an accepted step, grow it and retry
-after a rejected one.
+after a rejected one.  Every fit runs it through :func:`solve`, which adds 1σ.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -16,6 +16,12 @@ import numpy as np
 MAX_ITERATIONS = 200
 GRADIENT_TOL = 1e-10  # infinity norm of J^T r
 STEP_TOL = 1e-12  # relative parameter step
+COSINE_TOL = 1e-6  # largest |cos| between r and a column of J at which a stall converges
+STALLS = ("no acceptable step found (damping exhausted)", "parameter step below tolerance")
+
+
+class FitError(ValueError):
+    """Raised when input data cannot support the requested fit."""
 
 
 @dataclass
@@ -28,6 +34,7 @@ class LMResult:
     iterations: int
     converged: bool
     message: str
+    uncertainties: np.ndarray | None = None  # 1 sigma, set by solve
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing JᵀJ or trial fails the cost test
@@ -112,3 +119,21 @@ def covariance_uncertainties(jacobian: np.ndarray, residual: np.ndarray) -> np.n
     with np.errstate(over="ignore", invalid="ignore"):
         cov = np.linalg.pinv(jacobian.T @ jacobian) * variance
         return np.sqrt(np.maximum(np.diag(cov), 0.0))
+
+
+def solve(fun, x0, jac, names) -> LMResult:
+    """Run :func:`levenberg_marquardt`, add 1σ as ``uncertainties``, and converge a run in
+    ``STALLS`` at ``COSINE_TOL``; a :class:`FitError` names each of ``names`` whose σ overflows."""
+    result = levenberg_marquardt(fun, x0, jac=jac)
+    jmat, r = result.jacobian, result.residual
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite cosine certifies nothing
+        scale = np.linalg.norm(jmat, axis=0) * np.linalg.norm(r)
+        cosine = np.abs(r @ jmat) / np.where(scale == 0, np.inf, scale)  # 0 if a factor is 0
+    if result.message in STALLS and np.all(np.isfinite(scale) & (cosine < COSINE_TOL)):
+        message = f"{result.message}; cosine below tolerance"
+        result = replace(result, converged=True, message=message)
+    uncertainties = covariance_uncertainties(jmat, r)
+    unbounded = [name for name, u in zip(names, uncertainties) if not np.isfinite(u)]
+    if unbounded:
+        raise FitError(f"the data do not constrain {', '.join(unbounded)}: uncertainty overflows")
+    return replace(result, uncertainties=uncertainties)

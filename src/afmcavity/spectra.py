@@ -68,10 +68,6 @@ class TransmissionMap:
         if self.metadata is None:
             object.__setattr__(self, "metadata", {})
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
 
 def _frozen(values) -> np.ndarray:
     """A read-only float array: ``values`` itself if read-only and owning its data, else a copy."""

@@ -47,6 +47,11 @@ def map_freq_step(tmap) -> float:
     return float(np.min(np.diff(tmap.freq_axis)))
 
 
+def crossing_field(spins, cavity) -> float:
+    """Field (tesla) where the descending lower magnon branch meets the cavity."""
+    return (spins.f_afmr0 - cavity.f_cavity) / (spins.g_factor * ac.GHZ_PER_TESLA_PER_G)
+
+
 def numerical_jacobian(
     fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray, rel_step: float = 1e-6
 ) -> np.ndarray:

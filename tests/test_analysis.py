@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import afmcavity as ac
 from afmcavity import GHZ_PER_TESLA_PER_G, analysis, optimize, spectra
 from afmcavity.analysis import _make_objective
-from conftest import map_freq_step, numerical_jacobian
+from conftest import crossing_field, map_freq_step, numerical_jacobian
 
 
 def lorentzian_map(f_center, freq_axis, n_fields=1):
@@ -53,7 +53,7 @@ class TestExtractPeaks:
             assert abs(peaks.columns[0].positions[0] - center) < h / 10
 
     def test_crossing_column_doublet(self, default_map, default_peaks, spins, cavity, coupling):
-        b_cross = ac.crossing_field(spins, cavity)
+        b_cross = crossing_field(spins, cavity)
         column = min(default_peaks.columns, key=lambda c: abs(c.field - b_cross))
         assert len(column.positions) == 2
         gap = column.positions[1] - column.positions[0]
@@ -451,6 +451,43 @@ class TestFitAvoidedCrossing:
         assert report.gradient_norm < optimize.GRADIENT_TOL
         assert report.message == "gradient below tolerance"
 
+    def test_readme_noisy_setup_converges_on_every_seed(self, default_map, cavity):
+        # the README set-up (0.2 dB, min_prominence 0.2) on seeds 0-99: 28 of these 200 fits
+        # stall at the rounding floor above GRADIENT_TOL and converge on the cosine test
+        stalled = 0
+        for seed in range(100):
+            peaks = ac.extract_peaks(ac.add_noise(default_map, 0.2, seed), 0.2)
+            for f_afmr0 in (31.0, 34.0):
+                start = ac.SpinSystemParams(f_afmr0=f_afmr0)
+                report = ac.fit_avoided_crossing(peaks, start, cavity, free=("big_g", "f_afmr0"))
+                assert report.converged, (seed, f_afmr0, report.message)
+                assert report.value_of("big_g") == pytest.approx(1.72, rel=0.01)
+                assert report.value_of("f_afmr0") == pytest.approx(34.0, rel=0.01)
+                stalled += report.message.endswith("; cosine below tolerance")
+        assert stalled > 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 7])
+    def test_agrees_with_scipy_least_squares(self, default_map, spins, cavity, seed, monkeypatch):
+        least_squares = pytest.importorskip("scipy.optimize").least_squares
+        problems = []
+        solver = optimize.levenberg_marquardt
+
+        def recorded(fun, x0, jac):
+            problems.append((fun, x0, jac))
+            return solver(fun, x0, jac=jac)
+
+        monkeypatch.setattr(optimize, "levenberg_marquardt", recorded)
+        peaks = ac.extract_peaks(ac.add_noise(default_map, 0.2, seed), 0.2)
+        report = ac.fit_avoided_crossing(peaks, spins, cavity, free=("big_g", "f_afmr0"))
+        [(fun, x0, jac)] = problems
+        # tolerances near eps: scipy's default gtol of 1e-8 would stop short of the stalled fits
+        ref = least_squares(fun, x0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        j, r = ref.jac, ref.fun
+        sigma = np.sqrt(np.diag(np.linalg.inv(j.T @ j)) * (r @ r) / (r.size - j.shape[1]))
+        assert report.converged
+        assert report.values == pytest.approx(tuple(ref.x), rel=1e-6)
+        assert report.uncertainties == pytest.approx(tuple(sigma), rel=1e-6)
+
     def test_window_past_spin_flop_sees_bare_cavity(self, spins, cavity, coupling, loss):
         # map columns past the spin-flop field hold the bare cavity; the fit models them so
         field_axis = ac.GridSpec(start=0.0, stop=1.5, step=0.005).samples()
@@ -493,7 +530,7 @@ class TestFitAvoidedCrossing:
             spins_true = ac.SpinSystemParams(f_afmr0=f0_true)
             coupling_true = ac.CouplingParams(big_g=g_true)
             flop = ac.spin_flop_field(spins_true)
-            cross = ac.crossing_field(spins_true, cavity)
+            cross = crossing_field(spins_true, cavity)
             b_hi = min(cross + 0.25, 0.98 * flop)
             field_axis = np.linspace(max(0.0, cross - 0.25), b_hi, 161)
             freq_axis = np.arange(
@@ -702,6 +739,16 @@ class TestFieldLinewidth:
         width = 1.25e-3
         p = 0.3 + 2.0 * (width / 2) ** 2 / ((b - 0.68) ** 2 + (width / 2) ** 2)
         assert ac.field_linewidth(list(zip(b, p))) == pytest.approx(width, rel=0.01)
+
+    @pytest.mark.parametrize("freq", [11.25, 11.5, 11.625])
+    def test_noiseless_cut_that_stalls_returns_a_width(self, spins, cavity, coupling, loss, freq):
+        # on a 1 mT × 0.125 GHz map these fits stall with ‖Jᵀr‖∞ from 2.6e-10 to 9.4e-9,
+        # above GRADIENT_TOL; two maxima sit on the field axis's edges
+        field_axis = ac.GridSpec(start=0.0, stop=1.1, step=0.001).samples()
+        freq_axis = ac.GridSpec(start=8.0, stop=15.0, step=0.125).samples()
+        tmap = ac.synthesize_map(field_axis, freq_axis, spins, cavity, coupling, loss)
+        width = ac.field_linewidth(ac.vertical_cut(tmap, freq))
+        assert np.isfinite(width) and width > 0
 
     def test_fields_out_of_order_rejected(self):
         # unchecked, descending fields fit a negative width and shuffled ones read as many peaks

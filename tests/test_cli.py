@@ -113,7 +113,7 @@ class TestSweep:
         out = tmp_path / "flat.csv"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         tmap = ac.load_map(out)
-        for i in range(1, tmap.shape[0]):
+        for i in range(1, tmap.values.shape[0]):
             assert np.array_equal(tmap.values[i], tmap.values[0])
 
     def test_noise_applied_with_seed(self, tmp_path):
@@ -283,10 +283,17 @@ class TestLinewidth:
         assert "outside" in capsys.readouterr().err
 
     def test_correction_subtracts_the_maps_cavity_linewidth(self, tmp_path, capsys):
-        # κ_tot = f_cavity / Q = 0.04 GHz + 1 ulp here, not the default 0.00865 GHz; at
-        # Q = 281.125 (0.04 GHz - 1 ulp) the Lorentzian fit stops on damping exhaustion
-        # just above the absolute gradient tolerance, and linewidth exits 3
+        # κ_tot = f_cavity / Q = 0.04 GHz + 1 ulp here, not the default 0.00865 GHz
         cavity = {"quality_factor": 281.12499999999994}
+        assert main(["linewidth", str(fine_sweep(tmp_path, cavity)), "--freq", "15.6"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["magnon_corrected_ghz"] == pytest.approx(0.035, rel=1e-3)
+
+    @pytest.mark.parametrize("quality_factor", [281.125, 300])
+    def test_fit_stalled_at_the_rounding_floor_exit_0(self, tmp_path, capsys, quality_factor):
+        # the Lorentzian fit stops on damping exhaustion (281.125) or a step below tolerance
+        # (300) just above the absolute gradient tolerance, with r orthogonal to J
+        cavity = {"quality_factor": quality_factor}
         assert main(["linewidth", str(fine_sweep(tmp_path, cavity)), "--freq", "15.6"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["magnon_corrected_ghz"] == pytest.approx(0.035, rel=1e-3)
@@ -567,7 +574,7 @@ class TestExitCodes:
         csv.with_suffix(".json").write_text(json.dumps({"spins": {"f_afmr0": f_afmr0}}))
         code, err = _main_quietly(["fit", str(csv), "--out", str(tmp_path / "fit.json")])
         assert (code, err) == (
-            2, f"error: the peaks do not constrain {unbounded}: uncertainty overflows\n"
+            2, f"error: the data do not constrain {unbounded}: uncertainty overflows\n"
         )
 
     @pytest.mark.parametrize("argv, raw, expected", [
@@ -811,6 +818,18 @@ class TestProcess:
         fit = _afmcavity("fit", "m.csv", cwd=tmp_path)
         assert (fit.returncode, fit.stderr) == (0, "")
         assert json.loads(fit.stdout)["converged"] is True
+
+    def test_noisy_readme_chain_seed_0_exit_0(self, tmp_path):
+        # the CI chain: this fit stalls above the absolute gradient tolerance
+        (tmp_path / "noisy.json").write_text(json.dumps({"noise_sigma_db": 0.2}))
+        sweep = _afmcavity("sweep", "--config", "noisy.json", "--seed", "0", "--out", "m.csv",
+                           cwd=tmp_path)
+        assert (sweep.returncode, sweep.stdout, sweep.stderr) == (0, "", "")
+        fit = _afmcavity("fit", "m.csv", "--min-prominence", "0.2", cwd=tmp_path)
+        assert (fit.returncode, fit.stderr) == (0, "")
+        report = json.loads(fit.stdout)
+        assert report["converged"] is True
+        assert report["message"].endswith("; cosine below tolerance")
 
     def test_overflowing_coupling_exit_2(self, tmp_path):
         (tmp_path / "bad.json").write_text(json.dumps({"coupling": {"big_g": 1e200}}))

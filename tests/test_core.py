@@ -241,23 +241,6 @@ class TestModelKernels:
         assert big_g.tolist() == [1.72, 1.72, 0.0, 0.0]
 
 
-class TestCrossingField:
-    def test_default_crossing(self, spins, cavity):
-        assert ac.crossing_field(spins, cavity) == pytest.approx(0.8128966056228855, rel=1e-12)
-
-    def test_crossing_for_higher_zero_field_frequency(self, cavity):
-        value = ac.crossing_field(ac.SpinSystemParams(f_afmr0=36.4), cavity)
-        assert value == pytest.approx(0.8986338876925372, rel=1e-12)
-
-    def test_no_crossing_when_degenerate(self, cavity):
-        with pytest.raises(ValueError):
-            ac.crossing_field(ac.SpinSystemParams(f_afmr0=11.245), cavity)
-
-    def test_crossing_consistency(self, spins, cavity):
-        b = ac.crossing_field(spins, cavity)
-        assert ac.magnon_branches(spins, b).lower == pytest.approx(cavity.f_cavity, rel=1e-12)
-
-
 class TestCouplingRegime:
     def test_ultrastrong_default(self, cavity, coupling):
         report = ac.coupling_regime(coupling, cavity, 0.035)

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from afmcavity import optimize
+import afmcavity
+from afmcavity import analysis, optimize
 from conftest import numerical_jacobian
 
 
@@ -205,3 +206,68 @@ def test_stop_reasons_pinned(case, monkeypatch):
     assert result.iterations == iterations
     assert result.converged is converged
     assert result.gradient_norm == pytest.approx(gradient_norm, rel=1e-9, abs=1e-300)
+
+
+def _largest_cosine(jacobian, residual) -> float:
+    """Largest |cos| between the residual and a Jacobian column; 0 for a zero one."""
+    scale = np.linalg.norm(jacobian, axis=0) * np.linalg.norm(residual)
+    return max((abs(residual @ col) / s if s else 0.0 for col, s in zip(jacobian.T, scale)),
+               default=0.0)
+
+
+def test_solve_converges_on_the_gradient_test_or_an_orthogonal_stall():
+    # scaled residuals lift the rounding floor of ‖Jᵀr‖ above GRADIENT_TOL, so fits stall there
+    rng = np.random.default_rng(11)
+    t = np.linspace(0, 3, 25)
+    seen = set()
+    for scale in (1.0, 1e3, 1e6):
+        for _ in range(20):
+            a, b = rng.uniform(0.5, 3.0), rng.uniform(-2.0, -0.2)
+            y = a * np.exp(b * t) + 0.01 * rng.standard_normal(t.size)
+            fun = lambda x: scale * (x[0] * np.exp(x[1] * t) - y)
+            jac = lambda x: scale * np.column_stack([np.exp(x[1] * t), x[0] * t * np.exp(x[1] * t)])
+            plain = optimize.levenberg_marquardt(fun, [1.0, -1.0], jac=jac)
+            result = optimize.solve(fun, [1.0, -1.0], jac, ("a", "b"))
+            assert np.array_equal(result.x, plain.x) and result.iterations == plain.iterations
+            assert np.array_equal(result.uncertainties, optimize.covariance_uncertainties(
+                plain.jacobian, plain.residual))
+            assert result.converged
+            if result.message == "gradient below tolerance":
+                assert result.gradient_norm < optimize.GRADIENT_TOL
+                seen.add("gradient")
+            else:
+                assert plain.message in optimize.STALLS
+                assert result.message == f"{plain.message}; cosine below tolerance"
+                assert _largest_cosine(result.jacobian, result.residual) < optimize.COSINE_TOL
+                seen.add(plain.message)
+    assert seen == {"gradient", *optimize.STALLS}
+
+
+@pytest.mark.parametrize("case", STOP_CASES.values(), ids=STOP_CASES.keys())
+def test_solve_keeps_each_pinned_stop(case, monkeypatch):
+    # a one-residual stall has |cos| = 1: no pinned stop is certified afresh
+    (fun, x0, jac, max_iterations), (message, iterations, converged, _) = case
+    monkeypatch.setattr(optimize, "MAX_ITERATIONS", max_iterations)
+    result = optimize.solve(fun, x0, jac or (lambda p: numerical_jacobian(fun, p)), ("a", "b"))
+    assert (result.message, result.iterations, result.converged) == (message, iterations, converged)
+
+
+def test_solve_non_finite_cosine_certifies_nothing():
+    # |J| overflows, so r·J / (|r| |J|) would read 0 on a stall with cos = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = optimize.solve(
+            lambda x: np.array([x[0] - 3.0]), [0.0], lambda x: np.array([[-1e200]]), ("a",)
+        )
+    assert result.message == "no acceptable step found (damping exhausted)"
+    assert not result.converged
+
+
+def test_solve_names_each_parameter_whose_uncertainty_overflows():
+    # JᵀJ of 1e-155 columns is subnormal, and its inverse leaves the float range
+    fun = lambda x: 1e-155 * (x[0] + x[1] * np.arange(3.0)) - np.array([1.0, 2.0, 4.0])
+    jac = lambda x: 1e-155 * np.column_stack([np.ones(3), np.arange(3.0)])
+    with pytest.raises(optimize.FitError,
+                       match="^the data do not constrain a, b: uncertainty overflows$"):
+        optimize.solve(fun, [0.0, 0.0], jac, ("a", "b"))
+    assert optimize.FitError is analysis.FitError is afmcavity.FitError

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import afmcavity as ac
 from afmcavity import spectra
-from conftest import map_freq_step
+from conftest import crossing_field, map_freq_step
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +53,7 @@ class TestS21Power:
     def test_normal_mode_splitting_at_crossing(self, spins, cavity, coupling, loss):
         # oracle: scan frequency on a 1 MHz grid at the crossing field and
         # locate the extrema of the hybridized doublet
-        b = ac.crossing_field(spins, cavity)
+        b = crossing_field(spins, cavity)
         f = np.arange(8.0, 15.0, 0.001)
         power = ac.synthesize_map([b], f, spins, cavity, coupling, loss).values[0]
         doublet = np.sort(f[np.argsort(power)[-2:]])
@@ -228,7 +228,7 @@ class TestTransmissionMap:
 class TestSynthesizeMap:
     def test_single_cell(self, spins, cavity, coupling, loss):
         tmap = ac.synthesize_map([0.3], [11.0], spins, cavity, coupling, loss)
-        assert tmap.shape == (1, 1)
+        assert tmap.values.shape == (1, 1)
         assert tmap.values[0, 0] == ac.s21_power(11.0, 0.3, spins, cavity, coupling, loss)
         fields = [0.0, 0.3, 0.62, 0.6617, 0.7, 1.1, 1.2, 1.3, 1.5]  # the last two past the flop
         freqs = [8.0, 9.53, 11.0, 11.245, 12.9, 15.0]
@@ -244,7 +244,7 @@ class TestSynthesizeMap:
         # scalar ``**2`` through libm ``pow``.  A change to the digest needs a reason
         # in CHANGES.md.
         tmap = digest_map
-        assert tmap.shape == (56, 351) and len(tmap.metadata["beyond_spin_flop_fields"]) == 7
+        assert tmap.values.shape == (56, 351) and len(tmap.metadata["beyond_spin_flop_fields"]) == 7
         digest = hashlib.sha256(ac.map_to_csv(tmap).encode()).hexdigest()
         assert digest == "2d6b22136f9a6401a7b06d4396ef51a142aab43ad62bbff662199daea4559c76"
 
@@ -253,7 +253,7 @@ class TestSynthesizeMap:
             np.linspace(0, 1.0, 7), np.linspace(10.5, 12.0, 301),
             spins, cavity, zero_coupling, loss,
         )
-        for i in range(1, tmap.shape[0]):
+        for i in range(1, tmap.values.shape[0]):
             assert np.array_equal(tmap.values[i], tmap.values[0])
 
     def test_minimum_gap_is_2g_at_crossing(self, default_map, default_peaks, spins, cavity, coupling):
@@ -268,7 +268,7 @@ class TestSynthesizeMap:
         freq_step = map_freq_step(default_map)
         field_step = float(np.min(np.diff(default_map.field_axis)))
         assert gap_min == pytest.approx(2 * coupling.big_g, abs=freq_step)
-        assert abs(b_min - ac.crossing_field(spins, cavity)) <= field_step
+        assert abs(b_min - crossing_field(spins, cavity)) <= field_step
 
     def test_beyond_spin_flop_filled_with_bare_cavity(self, spins, cavity, coupling, loss):
         fields = np.array([0.5, 1.3])
@@ -289,7 +289,7 @@ class TestSynthesizeMap:
         tmap = ac.synthesize_map(
             np.linspace(0, 1.0, 5), freqs, spins, cavity, zero_coupling, loss
         )
-        for i in range(tmap.shape[0]):
+        for i in range(tmap.values.shape[0]):
             fwhm_f = _lorentzian_fwhm_ghz(freqs, tmap.values[i])
             peak_f = freqs[np.argmax(tmap.values[i])]
             assert abs(peak_f - cavity.f_cavity) <= 0.0005
@@ -578,7 +578,7 @@ class TestSerialization:
     def test_incomplete_grid_names_last_line_of_a_long_text(self, default_map, default_text):
         cut = default_text.index("\n", spectra._WINDOW) + 1
         text = default_text[:cut] + default_text[default_text.index("\n", cut) + 1:] + "\n# end\n"
-        n_fields, n_freqs = default_map.shape
+        n_fields, n_freqs = default_map.values.shape
         last = text.count("\n")  # every line of ``text`` ends in a newline
         with pytest.raises(ValueError) as info:
             ac.map_from_csv(text)
