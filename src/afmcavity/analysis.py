@@ -123,8 +123,8 @@ def extract_peaks(tmap: TransmissionMap, min_prominence: float = MIN_PROMINENCE)
     ranked = []  # (row, -prominence, column) of every qualifying peak
     step = max(1, _BLOCK_CELLS // n)
     for start in range(0, len(values), step):
-        block = values[start : start + step]
-        top, bottom = block.max(axis=1), block.min(axis=1)
+        end = start + step
+        block, top, bottom = values[start:end], tmap._row_max[start:end], tmap._row_min[start:end]
         threshold = min_prominence * top
         threshold[threshold == 0] = np.inf  # a row of zeros has no peaks
         # prominence never exceeds height, so only samples at or above the threshold can
@@ -343,7 +343,8 @@ def field_linewidth(cut) -> float:
     """FWHM (tesla) of a single-peaked transmission-vs-field trace.
 
     Fits a Lorentzian with a flat baseline; fields must strictly increase.  Raises
-    :class:`FitError` naming the failure mode for flat, multi-peaked or under-sampled traces.
+    :class:`FitError` naming the failure mode for flat, multi-peaked or under-sampled traces,
+    and for one whose maximum sits on its first or last field.
     """
     b, p = _pair_columns(cut, "cut must be a sequence of (field, power) pairs")
     b, p = core.checked("cut field", b), core.checked("cut power", p)
@@ -363,8 +364,12 @@ def field_linewidth(cut) -> float:
             "refine the field grid"
         )
 
+    i_max = int(np.argmax(p))
+    if i_max in (0, p.size - 1):  # the trace holds at most half of the peak
+        raise FitError(f"peak cut off: the maximum sits on the edge field {float(b[i_max])!r} T")
+
     width0 = max(b[above[-1]] - b[above[0]], float(np.min(np.diff(b))))
-    center0 = float(b[np.argmax(p)])
+    center0 = float(b[i_max])
 
     # Nondimensionalize so the optimizer sees O(1) parameters regardless of
     # whether the peak is millitesla- or tesla-wide.

@@ -34,18 +34,25 @@ class LossParams:
         core.checked("magnon_linewidth", self.magnon_linewidth, 0.0)
 
 
+_SLAB_CELLS = 1 << 18  # cells reduced at once: 2 MiB, so max() reads them from a core's L2
+
+
 @dataclass(frozen=True, eq=False)
 class TransmissionMap:
     """Linear power transmission on a rectangular (field, frequency) grid.
 
     ``values[i, j]`` is |S21|² at ``field_axis[i]``, ``freq_axis[j]``.  Axes
-    are strictly increasing; values finite and non-negative.
+    are strictly increasing; values finite and non-negative.  The check's
+    reductions are kept, read-only: ``_row_min`` and ``_row_max`` hold each
+    field row's ``values.min(axis=1)`` and ``values.max(axis=1)``.
     """
 
     field_axis: np.ndarray  # tesla
     freq_axis: np.ndarray  # GHz
     values: np.ndarray
     metadata: dict = field(default_factory=dict)
+    _row_min: np.ndarray = field(init=False, repr=False)
+    _row_max: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         field_axis, freq_axis, values = map(_frozen, (self.field_axis, self.freq_axis, self.values))
@@ -62,8 +69,17 @@ class TransmissionMap:
                 f"values shape {values.shape} does not match axes "
                 f"({field_axis.size}, {freq_axis.size})"
             )
-        core.checked("values", values, 0.0)
-        for name, arr in (("field_axis", field_axis), ("freq_axis", freq_axis), ("values", values)):
+        row_min, row_max = np.empty(len(values)), np.empty(len(values))
+        step = max(1, _SLAB_CELLS // freq_axis.size)
+        for start in range(0, len(values), step):  # min() propagates NaN
+            rows = slice(start, start + step)
+            values[rows].min(axis=1, out=row_min[rows])
+            values[rows].max(axis=1, out=row_max[rows])
+        if not (row_min.min() >= 0.0 and row_max.max() < np.inf):
+            core.checked("values", values, 0.0)  # names the first bad cell
+        row_min.flags.writeable = row_max.flags.writeable = False
+        for name, arr in (("field_axis", field_axis), ("freq_axis", freq_axis), ("values", values),
+                          ("_row_min", row_min), ("_row_max", row_max)):
             object.__setattr__(self, name, arr)
         if self.metadata is None:
             object.__setattr__(self, "metadata", {})

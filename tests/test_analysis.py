@@ -29,6 +29,17 @@ def lorentzian_map(f_center, freq_axis, n_fields=1):
 
 
 class TestExtractPeaks:
+    def test_replaced_values_read_afresh(self, spins, cavity, coupling, loss):
+        # the block row extrema come from the map's values, not from the map it replaced
+        clean = ac.synthesize_map(
+            np.linspace(0.0, 1.1, 23), np.linspace(10.0, 13.0, 301), spins, cavity, coupling, loss
+        )
+        noisy = ac.add_noise(clean, 0.2, seed=5)
+        fresh = ac.TransmissionMap(clean.field_axis, clean.freq_axis, noisy.values)
+        replaced = replace(clean, values=noisy.values)
+        assert repr(ac.extract_peaks(replaced, 0.2)) == repr(ac.extract_peaks(fresh, 0.2))
+        assert repr(ac.extract_peaks(replaced, 0.2)) != repr(ac.extract_peaks(clean, 0.2))
+
     def test_on_grid_peak_exact(self):
         # dyadic grid symmetric around the center: refinement must not move it
         h = 2.0**-10
@@ -740,15 +751,28 @@ class TestFieldLinewidth:
         p = 0.3 + 2.0 * (width / 2) ** 2 / ((b - 0.68) ** 2 + (width / 2) ** 2)
         assert ac.field_linewidth(list(zip(b, p))) == pytest.approx(width, rel=0.01)
 
-    @pytest.mark.parametrize("freq", [11.25, 11.5, 11.625])
-    def test_noiseless_cut_that_stalls_returns_a_width(self, spins, cavity, coupling, loss, freq):
+    @pytest.mark.parametrize("freq, edge", [
+        pytest.param(11.25, "0.0", id="11.25"),
+        pytest.param(11.5, "1.1", id="11.5"),
+        pytest.param(11.625, None, id="11.625"),
+    ])
+    def test_noiseless_cut_that_stalls_returns_a_width(
+        self, spins, cavity, coupling, loss, freq, edge
+    ):
         # on a 1 mT × 0.125 GHz map these fits stall with ‖Jᵀr‖∞ from 2.6e-10 to 9.4e-9,
-        # above GRADIENT_TOL; two maxima sit on the field axis's edges
+        # above GRADIENT_TOL.  Two maxima sit on the field axis's edges, where a width would
+        # be extrapolated from half a peak (0.538 T and 0.071 T): those cuts are refused.
         field_axis = ac.GridSpec(start=0.0, stop=1.1, step=0.001).samples()
         freq_axis = ac.GridSpec(start=8.0, stop=15.0, step=0.125).samples()
         tmap = ac.synthesize_map(field_axis, freq_axis, spins, cavity, coupling, loss)
-        width = ac.field_linewidth(ac.vertical_cut(tmap, freq))
-        assert np.isfinite(width) and width > 0
+        cut = ac.vertical_cut(tmap, freq)
+        if edge is not None:
+            message = f"^peak cut off: the maximum sits on the edge field {edge} T$"
+            with pytest.raises(analysis.FitError, match=message):
+                ac.field_linewidth(cut)
+        else:
+            width = ac.field_linewidth(cut)
+            assert np.isfinite(width) and width > 0
 
     def test_fields_out_of_order_rejected(self):
         # unchecked, descending fields fit a negative width and shuffled ones read as many peaks

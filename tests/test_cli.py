@@ -304,6 +304,20 @@ class TestLinewidth:
         assert main(["linewidth", str(fine_sweep(tmp_path, cavity)), "--freq", "15.6"]) == 2
         assert capsys.readouterr().err == "error: no peak: the trace is flat\n"
 
+    def test_peak_on_the_edge_field_exit_2(self, tmp_path, capsys):
+        # at 11.25 GHz the cut's maximum is on the first field, so the trace holds half a peak
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "field_grid": {"start": 0.0, "stop": 1.1, "step": 0.001},
+            "freq_grid": {"start": 8.0, "stop": 15.0, "step": 0.125},
+        }))
+        out = tmp_path / "edge.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["linewidth", str(out), "--freq", "11.25"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: peak cut off: the maximum sits on the edge field 0.0 T\n"
+
     def test_unconverged_fit_exit_3(self, fine_map, monkeypatch, capsys):
         from afmcavity import analysis as analysis_module
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -180,12 +181,14 @@ class TestTransmissionMap:
         with pytest.raises(ValueError, match="^axes must be non-empty$"):
             ac.TransmissionMap([], [1.0], np.ones((0, 1)))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, -1e-300, -1.0], ids=["nan", "inf", "-inf", "-1e-300", "-1.0"]
+    )
     def test_bad_cell_rejected(self, bad):
-        values = np.ones((2, 3))
-        values[1, 2] = bad  # not the first cell
-        with pytest.raises(ValueError, match="values must be finite and >= 0"):
-            ac.TransmissionMap([0.1, 0.2], [1.0, 2.0, 3.0], values)
+        values = np.ones((3, 4))
+        values[2, 1] = bad  # in neither the first row nor the first column
+        with pytest.raises(ValueError, match=rf"^values must be finite and >= 0, got {bad!r}$"):
+            ac.TransmissionMap([0.1, 0.2, 0.3], [1.0, 2.0, 3.0, 4.0], values)
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_signed_zero_accepted(self, zero):
@@ -223,6 +226,31 @@ class TestTransmissionMap:
         base[0, 0] = -5.0  # the view sees this write; the map and the cut must not
         assert tmap.values[0, 0] == 1.0 and cut.powers[0] == 1.0
         assert not tmap.values.flags.writeable
+
+    def test_row_extrema_kept(self, spins, cavity, coupling, loss, tmp_path, monkeypatch):
+        # slabs of 3 rows of the 301-sample maps, and a last slab of 2 of their 23 rows
+        monkeypatch.setattr(spectra, "_SLAB_CELLS", 1000)
+        clean = ac.synthesize_map(
+            np.linspace(0.0, 1.1, 23), np.linspace(10.0, 13.0, 301), spins, cavity, coupling, loss
+        )
+        noisy = ac.add_noise(clean, 0.2, seed=5)
+        signed_zero = np.ones((2, 3))
+        signed_zero[1, 2] = -0.0
+        maps = {
+            "synthesize_map": clean,
+            "add_noise": noisy,
+            "map_from_csv": ac.map_from_csv(ac.map_to_csv(noisy)),
+            "load_map": ac.load_map(ac.save_map(noisy, tmp_path / "m.csv")),
+            "constructor": ac.TransmissionMap([0.1, 0.2], [1.0, 2.0, 3.0], signed_zero),
+            "replace": replace(clean, values=noisy.values),
+        }
+        for name, tmap in maps.items():
+            for kept, expected in ((tmap._row_min, tmap.values.min(axis=1)),
+                                   (tmap._row_max, tmap.values.max(axis=1))):
+                assert kept.tobytes() == expected.tobytes(), name
+                assert not kept.flags.writeable, name
+        assert np.signbit(maps["constructor"]._row_min[1])
+        assert "_row" not in repr(clean)
 
 
 class TestSynthesizeMap:
