@@ -14,7 +14,7 @@ import numpy as np
 from . import core, optimize
 from .core import GHZ_PER_TESLA_PER_G, CavityParams, CouplingParams, SpinSystemParams
 from .optimize import FitError
-from .spectra import TransmissionMap, write_csv, write_json
+from .spectra import TransmissionMap, write_csv
 
 PARAMETER_ORDER = ("big_g", "f_afmr0", "g_factor", "f_cavity")
 MIN_PROMINENCE = 0.1  # extract_peaks' default, a fraction of the column maximum
@@ -213,9 +213,6 @@ class FitReport:
             "n_observations": self.n_observations,
         }
 
-    def to_json(self) -> str:
-        return write_json(self.to_json_dict())
-
 
 def _make_objective(b_arr: np.ndarray, p_arr: np.ndarray, baseline: dict, names):
     """Residual and analytic-Jacobian functions for the branch fit.
@@ -368,7 +365,7 @@ def field_linewidth(cut) -> float:
     if i_max in (0, p.size - 1):  # the trace holds at most half of the peak
         raise FitError(f"peak cut off: the maximum sits on the edge field {float(b[i_max])!r} T")
 
-    width0 = max(b[above[-1]] - b[above[0]], float(np.min(np.diff(b))))
+    width0 = b[above[-1]] - b[above[0]]  # four or more field steps: never below the finest
     center0 = float(b[i_max])
 
     # Nondimensionalize so the optimizer sees O(1) parameters regardless of
@@ -458,9 +455,6 @@ class TrendFit:
     def to_json_dict(self) -> dict:
         return asdict(self)  # the field names are the file's keys
 
-    def to_json(self) -> str:
-        return write_json(self.to_json_dict())
-
 
 def fit_t4_trend(
     points,
@@ -495,7 +489,7 @@ def fit_t4_trend(
         raise FitError("singular design: all temperatures⁴ are equal")
     design = np.column_stack([np.ones_like(t), s * t4])
     solution, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < 2 and not exponent_free:  # the free fit can still move the exponent
+    if rank < 2:
         raise FitError("singular design: temperatures⁴ are numerically collinear with the offset")
     x = np.append(solution, 4.0)
 

@@ -194,7 +194,7 @@ def cmd_trend(args) -> int:
         exponent_free=args.free_exponent,
         temperature_unit=args.t_unit,
     )
-    _emit([fit.to_json()], args.out)
+    _emit([spectra.write_json(fit.to_json_dict())], args.out)
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import CavityParams, CouplingParams, SpinSystemParams, checked
 from .phase import PhaseBoundaries
-from .spectra import LossParams, write_json
+from .spectra import LossParams
 
 
 class ConfigError(ValueError):
@@ -89,9 +89,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return write_json(self.to_dict())
 
 
 # the sections of a config, each parsed as the type of its default

@@ -104,35 +104,25 @@ def levenberg_marquardt(
     )
 
 
-def covariance_uncertainties(jacobian: np.ndarray, residual: np.ndarray) -> np.ndarray:
-    """One-sigma parameter uncertainties from the linearized covariance.
-
-    Covariance is s² (JᵀJ)⁻¹ with s² the residual variance; with no residual
-    degrees of freedom the scale collapses to zero and so do the errors.  An
-    uncertainty past the float range (a Jacobian column of subnormal size) comes
-    back non-finite, without a warning.
-    """
-    n_obs, n_par = jacobian.shape
-    dof = n_obs - n_par
-    ssr = float(residual @ residual)
-    variance = ssr / dof if dof > 0 else 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        cov = np.linalg.pinv(jacobian.T @ jacobian) * variance
-        return np.sqrt(np.maximum(np.diag(cov), 0.0))
-
-
 def solve(fun, x0, jac, names) -> LMResult:
     """Run :func:`levenberg_marquardt`, add 1σ as ``uncertainties``, and converge a run in
-    ``STALLS`` at ``COSINE_TOL``; a :class:`FitError` names each of ``names`` whose σ overflows."""
+    ``STALLS`` at ``COSINE_TOL``; a :class:`FitError` names each of ``names`` whose σ overflows.
+
+    σ² is the diagonal of s² (JᵀJ)⁻¹, s² the residual variance, and 0 with no residual
+    degrees of freedom.  A Jacobian column of subnormal size overflows σ, without a warning.
+    """
     result = levenberg_marquardt(fun, x0, jac=jac)
     jmat, r = result.jacobian, result.residual
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite cosine certifies nothing
+    dof = r.size - jmat.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite cosine or σ is refused
         scale = np.linalg.norm(jmat, axis=0) * np.linalg.norm(r)
         cosine = np.abs(r @ jmat) / np.where(scale == 0, np.inf, scale)  # 0 if a factor is 0
+        variance = r @ r / dof if dof > 0 else 0.0
+        cov = np.linalg.pinv(jmat.T @ jmat) * variance
+        uncertainties = np.sqrt(np.maximum(np.diag(cov), 0.0))
     if result.message in STALLS and np.all(np.isfinite(scale) & (cosine < COSINE_TOL)):
         message = f"{result.message}; cosine below tolerance"
         result = replace(result, converged=True, message=message)
-    uncertainties = covariance_uncertainties(jmat, r)
     unbounded = [name for name, u in zip(names, uncertainties) if not np.isfinite(u)]
     if unbounded:
         raise FitError(f"the data do not constrain {', '.join(unbounded)}: uncertainty overflows")

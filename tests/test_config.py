@@ -7,6 +7,7 @@ import pytest
 
 import afmcavity as ac
 from afmcavity.config import ConfigError, GridSpec, RunConfig, load_config
+from afmcavity.spectra import write_json
 
 
 class TestGridSpec:
@@ -106,7 +107,7 @@ class TestRunConfig:
 
     def test_round_trip_through_json(self):
         cfg = RunConfig()
-        again = RunConfig.from_dict(json.loads(cfg.to_json()))
+        again = RunConfig.from_dict(json.loads(write_json(cfg.to_dict())))
         assert again == cfg
 
     def test_grid_requires_all_keys(self):

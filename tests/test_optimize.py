@@ -127,29 +127,30 @@ def test_singular_solve_retried_with_more_damping(monkeypatch):
 
 
 def test_covariance_uncertainties():
-    # y = a*t with unit-variance residuals: var(a) = sigma^2 / sum(t^2)
+    # y = a*t fitted by least squares: var(a) = s² / sum(t²), s² = ssr / (n - 1)
     t = np.linspace(1, 5, 50)
-    jac = t[:, None]
-    residual = np.ones(t.size)  # ssr = n, dof = n - 1
-    sigma = optimize.covariance_uncertainties(jac, residual)
-    expected = np.sqrt((t.size / (t.size - 1)) / np.sum(t**2))
-    assert sigma[0] == pytest.approx(expected, rel=1e-12)
+    y = 2.0 * t + 0.1 * np.random.default_rng(5).standard_normal(t.size)
+    result = optimize.solve(lambda x: x[0] * t - y, [0.0], lambda x: t[:, None], ("a",))
+    ssr = np.linalg.lstsq(t[:, None], y, rcond=None)[1][0]
+    expected = np.sqrt(ssr / (t.size - 1) / np.sum(t**2))
+    assert result.uncertainties[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_covariance_zero_dof():
-    jac = np.array([[1.0, 0.0], [0.0, 1.0]])
-    residual = np.array([0.1, -0.2])
-    sigma = optimize.covariance_uncertainties(jac, residual)
-    assert np.all(sigma == 0.0)
+    # a wrong-sign Jacobian leaves the residual (0.1, -0.2) in place; with no dof σ is 0
+    fun = lambda x: np.array([x[0] + 0.1, x[1] - 0.2])
+    result = optimize.solve(fun, [0.0, 0.0], lambda x: -np.eye(2), ("a", "b"))
+    assert np.array_equal(result.residual, [0.1, -0.2])
+    assert np.all(result.uncertainties == 0.0)
 
 
-def test_covariance_subnormal_column_non_finite_without_warning():
+def test_covariance_subnormal_column_raises_without_warning():
     # JᵀJ of a 1e-155 column is subnormal: its inverse times the variance leaves the float range
-    jac = np.array([[1e-155], [1e-155], [1e-155]])
+    jac = lambda x: np.full((3, 1), 1e-155)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sigma = optimize.covariance_uncertainties(jac, np.ones(3))
-    assert not np.isfinite(sigma[0])
+        with pytest.raises(optimize.FitError, match="^the data do not constrain a: uncertainty"):
+            optimize.solve(lambda x: np.ones(3), [0.0], jac, ("a",))
 
 
 def _rosenbrock(x):
@@ -229,8 +230,9 @@ def test_solve_converges_on_the_gradient_test_or_an_orthogonal_stall():
             plain = optimize.levenberg_marquardt(fun, [1.0, -1.0], jac=jac)
             result = optimize.solve(fun, [1.0, -1.0], jac, ("a", "b"))
             assert np.array_equal(result.x, plain.x) and result.iterations == plain.iterations
-            assert np.array_equal(result.uncertainties, optimize.covariance_uncertainties(
-                plain.jacobian, plain.residual))
+            jmat, r = plain.jacobian, plain.residual
+            sigma = np.sqrt(np.diag(np.linalg.inv(jmat.T @ jmat)) * (r @ r) / (t.size - 2))
+            assert result.uncertainties == pytest.approx(sigma, rel=1e-10)
             assert result.converged
             if result.message == "gradient below tolerance":
                 assert result.gradient_norm < optimize.GRADIENT_TOL
