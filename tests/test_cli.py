@@ -457,6 +457,8 @@ class TestTrend:
 
     @pytest.mark.parametrize("body", [
         pytest.param("0.3,35\n0.5,35.0001\n0.7,35\n1.0,35.0002\n1.5,35\n", id="flat"),
+        # a resolvable design whose exponent column squares past the float range at the start
+        pytest.param("800,1e153\n1600,2e153\n2400,4e153\n", id="overflowing-normal-matrix"),
     ])
     def test_unconverged_free_exponent_exit_3(self, tmp_path, capsys, body):
         path = tmp_path / "points.csv"
