@@ -9,11 +9,16 @@ with every linewidth an FWHM in GHz and f_m(B) the lower (descending) magnon
 branch, evaluated in real arithmetic (see ``_evaluate_s21``).  Maps carry
 their own axes and a metadata record of the parameters used to synthesize
 them; they are immutable after construction.
+
+A map above 4 Mi cells is computed, and its row extrema taken, one span of
+rows per thread, across the CPUs the process may run on (``taskset`` limits
+them); the bits are the same for any CPU count (see ``_each_span``).
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from itertools import chain, islice, pairwise, repeat
 from pathlib import Path
@@ -35,6 +40,38 @@ class LossParams:
 
 
 _SLAB_CELLS = 1 << 18  # cells reduced at once: 2 MiB, so max() reads them from a core's L2
+_PARALLEL_CELLS = 1 << 22  # cells of a span of rows: 32 MiB; a map of more fans out (_each_span)
+
+
+def _workers() -> int:
+    """The number of CPUs this process may run on (``taskset`` limits them)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _each_span(fn, n_rows: int, n_cols: int) -> None:
+    """Call ``fn(rows)`` on each ``slice`` of whole rows of an ``n_rows`` × ``n_cols`` map.
+
+    A span holds at most ``_PARALLEL_CELLS`` cells (one row if a row is
+    longer).  A map of more cells runs its spans in a pool of one thread per
+    CPU, any other in order in this thread; spans write disjoint rows, so the
+    bits do not depend on the CPU count.  A span's exception reaches the
+    caller after every thread has ended.
+    """
+    step = max(1, _PARALLEL_CELLS // max(n_cols, 1))
+    spans = [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
+    workers = _workers() if n_rows * n_cols > _PARALLEL_CELLS else 1
+    if workers == 1:
+        for rows in spans:
+            fn(rows)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # imported here: 3-5 ms of start-up
+
+    with ThreadPoolExecutor(workers) as pool:
+        for _ in pool.map(fn, spans):  # a span's exception cancels the spans not started
+            pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,10 +108,14 @@ class TransmissionMap:
             )
         row_min, row_max = np.empty(len(values)), np.empty(len(values))
         step = max(1, _SLAB_CELLS // freq_axis.size)
-        for start in range(0, len(values), step):  # min() propagates NaN
-            rows = slice(start, start + step)
-            values[rows].min(axis=1, out=row_min[rows])
-            values[rows].max(axis=1, out=row_max[rows])
+
+        def reduce_span(span):  # min() propagates NaN
+            for start in range(span.start, span.stop, step):
+                rows = slice(start, min(start + step, span.stop))
+                values[rows].min(axis=1, out=row_min[rows])
+                values[rows].max(axis=1, out=row_max[rows])
+
+        _each_span(reduce_span, *values.shape)
         if not (row_min.min() >= 0.0 and row_max.max() < np.inf):
             core.checked("values", values, 0.0)  # names the first bad cell
         row_min.flags.writeable = row_max.flags.writeable = False
@@ -103,38 +144,45 @@ def _evaluate_s21(freqs, f_magnon, big_g, cavity, loss) -> np.ndarray:
         |S21|² = κ_ext² / ((κ_tot/2 + q·b)² + (f − f_c − q·a)²)
 
     with κ_tot and κ_ext those of ``cavity``.  A scalar pair is one row.  Each
-    row is written in place, with two row-sized arrays as scratch.
+    row is written in place, with two row-sized arrays per span of rows as
+    scratch (see ``_each_span``).
     """
     freqs = np.asarray(freqs, dtype=float)
     f_magnon, big_g = np.atleast_1d(f_magnon, big_g)
+    if f_magnon.shape != big_g.shape:
+        raise ValueError(f"{f_magnon.size} magnon frequencies for {big_g.size} couplings")
     values = np.empty((f_magnon.size, freqs.size))
-    a, q = np.empty(freqs.shape), np.empty(freqs.shape)
     kappa = cavity.total_linewidth
     kappa_ext2 = (cavity.external_coupling_fraction * kappa) ** 2
     b = 0.5 * loss.magnon_linewidth
-    with np.errstate(all="ignore"):
-        detuning = np.subtract(freqs, cavity.f_cavity)
-        for out, f_m, g in zip(values, f_magnon.tolist(), big_g.tolist(), strict=True):
-            np.subtract(freqs, f_m, out=a)
-            np.multiply(a, a, out=q)
-            q += b * b
-            big_g2 = g**2
-            if big_g2 > 0:
-                np.divide(big_g2, q, out=q)
-            else:  # uncoupled, even a lossless magnon on resonance leaves the bare cavity
-                q.fill(0.0)
-            a *= q
-            np.subtract(detuning, a, out=out)
-            out *= out
-            q *= b
-            q += 0.5 * kappa
-            q *= q
-            out += q
-            np.divide(kappa_ext2, out, out=out)
-            # ∞·0 and 0/0 arise only at the two zero limits: a lossless magnon on
-            # resonance (q = G²/0) and a zero total denominator.  fmax maps NaN to 0.
-            # An overflow to inf drives q to 0 (a magnon detuned out of reach) or |S21|² to 0.
-            np.fmax(out, 0.0, out=out)
+    detuning = np.subtract(freqs, cavity.f_cavity)
+
+    def fill_span(rows):
+        a, q = np.empty(freqs.shape), np.empty(freqs.shape)
+        with np.errstate(all="ignore"):  # per span: a pool thread starts from numpy's default
+            for out, f_m, g in zip(values[rows], f_magnon[rows].tolist(), big_g[rows].tolist()):
+                np.subtract(freqs, f_m, out=a)
+                np.multiply(a, a, out=q)
+                q += b * b
+                big_g2 = g**2
+                if big_g2 > 0:
+                    np.divide(big_g2, q, out=q)
+                else:  # uncoupled, even a lossless magnon on resonance leaves the bare cavity
+                    q.fill(0.0)
+                a *= q
+                np.subtract(detuning, a, out=out)
+                out *= out
+                q *= b
+                q += 0.5 * kappa
+                q *= q
+                out += q
+                np.divide(kappa_ext2, out, out=out)
+                # ∞·0 and 0/0 arise only at the two zero limits: a lossless magnon on
+                # resonance (q = G²/0) and a zero total denominator.  fmax maps NaN to 0.
+                # An overflow to inf drives q to 0 (a magnon detuned out of reach) or |S21|² to 0.
+                np.fmax(out, 0.0, out=out)
+
+    _each_span(fill_span, *values.shape)
     return values
 
 

@@ -1,7 +1,11 @@
 """Tests for transmission-map synthesis, noise, cuts, and serialization."""
 
 import hashlib
+import os
+import sys
+import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import afmcavity as ac
-from afmcavity import spectra
+from afmcavity import core, spectra
+from afmcavity.cli import main
 from conftest import crossing_field, map_freq_step
 
 
@@ -404,6 +409,162 @@ class TestAddNoise:
         bound = (2 * ulps + 1 + 8 * np.log(10) * exponent) * eps * (1 + 100 * eps) * reference
         assert reference.shape == noisy.shape == (56, 351)
         assert np.all(np.abs(noisy - reference) <= bound)
+
+
+def _force_pool(monkeypatch, workers=3):
+    """Spans of 20 rows of a 1401-sample map, in a pool of ``workers`` threads on any host.
+
+    The list returned gains an entry each time a map is large enough to fan out.
+    """
+    pools = []
+    monkeypatch.setattr(spectra, "_PARALLEL_CELLS", 20 * 1401)
+    monkeypatch.setattr(spectra, "_workers", lambda: pools.append(workers) or workers)
+    return pools
+
+
+def _span_map(case, spins, cavity, coupling, loss):
+    """The default map, or one of its variants, computed under whatever spans are in force."""
+    fields = ac.GridSpec(start=0.0, stop=1.1, step=0.005).samples()
+    freqs = ac.GridSpec(start=8.0, stop=15.0, step=0.005).samples()
+    if case == "past-spin-flop":
+        fields = np.linspace(0.0, 1.5, 221)  # the flop is at 1.215 T
+    elif case in ("lossless-magnon", "uncoupled-port"):
+        loss = ac.LossParams(magnon_linewidth=0.0)  # G > 0 on every row up to 1.1 T
+        f_m = core.coupled_magnon(spins.f_afmr0, spins.g_factor, coupling.big_g, fields)[0]
+        freqs = np.union1d(freqs, f_m[::10])  # a sample exactly at every tenth row's f_m
+        if case == "uncoupled-port":
+            cavity = replace(cavity, external_coupling_fraction=0.0)
+    tmap = ac.synthesize_map(fields, freqs, spins, cavity, coupling, loss)
+    return ac.add_noise(tmap, 0.2, seed=3) if case == "add-noise" else tmap
+
+
+class TestSpans:
+    @pytest.mark.parametrize(
+        "case", ["default", "past-spin-flop", "lossless-magnon", "uncoupled-port", "add-noise"]
+    )
+    def test_pool_matches_inline_bit_for_bit(self, case, spins, cavity, coupling, loss, monkeypatch):
+        inline = _span_map(case, spins, cavity, coupling, loss)
+        pools = _force_pool(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a pool thread's RuntimeWarning would raise here
+            pooled = _span_map(case, spins, cavity, coupling, loss)
+        assert pools
+        if case in ("lossless-magnon", "uncoupled-port"):
+            assert np.any(inline.values == 0.0)
+        for name in ("values", "_row_min", "_row_max"):  # int64 views: -0.0 and NaN bits count
+            assert np.array_equal(
+                getattr(pooled, name).view(np.int64), getattr(inline, name).view(np.int64)
+            ), name
+        assert repr(ac.extract_peaks(pooled, 0.2)) == repr(ac.extract_peaks(inline, 0.2))
+
+    def test_one_row_spans_on_more_workers_than_cpus_switching_fast(
+        self, default_map, spins, cavity, coupling, loss, monkeypatch
+    ):
+        monkeypatch.setattr(spectra, "_PARALLEL_CELLS", 1401)  # 221 spans of one row
+        monkeypatch.setattr(spectra, "_workers", lambda: 2 * (os.cpu_count() or 1) + 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = _span_map("default", spins, cavity, coupling, loss)
+        finally:
+            sys.setswitchinterval(interval)
+        for name in ("values", "_row_min", "_row_max"):  # a lost or misplaced row shows here
+            assert np.array_equal(
+                getattr(pooled, name).view(np.int64), getattr(default_map, name).view(np.int64)
+            ), name
+
+    @pytest.mark.parametrize("force, workers, pooled", [
+        (False, 3, False),  # the default map is below _PARALLEL_CELLS
+        (True, 1, False),  # a 1-CPU process
+        (True, 3, True),
+    ])
+    def test_spans_leave_the_calling_thread_only_in_a_pool(
+        self, force, workers, pooled, spins, cavity, coupling, loss, monkeypatch
+    ):
+        if force:
+            _force_pool(monkeypatch, workers)
+        threads = []
+        each_span = spectra._each_span
+
+        def spy(fn, n_rows, n_cols):
+            def span(rows):
+                threads.append(threading.current_thread())
+                fn(rows)
+            each_span(span, n_rows, n_cols)
+
+        monkeypatch.setattr(spectra, "_each_span", spy)
+        _span_map("default", spins, cavity, coupling, loss)
+        assert len(threads) == (24 if force else 2)  # 12 spans of 221 rows, twice
+        if pooled:
+            assert threading.main_thread() not in threads
+        else:
+            assert set(threads) == {threading.main_thread()}
+
+    def test_bad_cell_in_the_last_span_named(self, monkeypatch):
+        pools = _force_pool(monkeypatch)
+        values = np.ones((45, 1401))  # spans of rows 0-19, 20-39 and 40-44
+        values[44, 700] = np.nan
+        with pytest.raises(ValueError, match=r"^values must be finite and >= 0, got nan$"):
+            ac.TransmissionMap(np.arange(45.0), np.arange(1.0, 1402.0), values)
+        assert pools
+
+    def test_mismatched_rows_rejected_before_any_span(self, cavity, loss, monkeypatch):
+        pools = _force_pool(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^50 magnon frequencies for 49 couplings$"):
+            spectra._evaluate_s21(
+                np.linspace(8.0, 15.0, 1401), np.full(50, 11.0), np.full(49, 1.72), cavity, loss
+            )
+        assert not pools and threading.active_count() == before
+
+    def test_span_error_reaches_the_caller_after_every_thread(
+        self, spins, cavity, coupling, loss, monkeypatch, tmp_path, capsys
+    ):
+        _force_pool(monkeypatch)
+        each_span = spectra._each_span
+
+        def failing(fn, n_rows, n_cols):
+            def span(rows):
+                if rows.stop == n_rows:
+                    raise MemoryError("Unable to allocate the last span")
+                fn(rows)
+            each_span(span, n_rows, n_cols)
+
+        monkeypatch.setattr(spectra, "_each_span", failing)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="^Unable to allocate the last span$"):
+            _span_map("default", spins, cavity, coupling, loss)
+        assert threading.active_count() == before
+        assert main(["sweep", "--out", str(tmp_path / "m.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: field_grid × freq_grid: Unable to allocate the last span\n"
+        )
+        assert threading.active_count() == before
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_peak_memory_within_the_map_and_each_workers_scratch(
+        self, spins, cavity, coupling, loss, monkeypatch
+    ):
+        pools = _force_pool(monkeypatch)
+        _span_map("default", spins, cavity, coupling, loss)  # imports the pool's module
+        tracemalloc.start()
+        try:
+            tmap = _span_map("default", spins, cavity, coupling, loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pools) == 4
+        # the map, two scratch rows per worker, the shared detuning row, and 96 KiB for
+        # the field-length arrays and the pool's own objects: no temporary grows with a span
+        row = tmap.freq_axis.nbytes
+        assert peak <= tmap.values.nbytes + (3 * 2 + 1) * row + 96 * 1024
+
+    def test_worker_count_reads_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")  # pins BLAS and OpenMP pools, not this one
+        if hasattr(os, "sched_getaffinity"):
+            assert spectra._workers() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert spectra._workers() == (os.cpu_count() or 1)
 
 
 class TestVerticalCut:
