@@ -10,9 +10,10 @@ branch, evaluated in real arithmetic (see ``_evaluate_s21``).  Maps carry
 their own axes and a metadata record of the parameters used to synthesize
 them; they are immutable after construction.
 
-A map above 4 Mi cells is computed, and its row extrema taken, one span of
-rows per thread, across the CPUs the process may run on (``taskset`` limits
-them); the bits are the same for any CPU count (see ``_each_span``).
+A map is computed, and its row extrema taken, one slab of rows per numpy
+call (``_SLAB_CELLS``).  A map above 4 Mi cells does so one span of rows per
+thread, across the CPUs the process may run on (``taskset`` limits them); the
+bits are the same for any CPU count and slab size (see ``_each_span``).
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ class LossParams:
         core.checked("magnon_linewidth", self.magnon_linewidth, 0.0)
 
 
-_SLAB_CELLS = 1 << 18  # cells reduced at once: 2 MiB, so max() reads them from a core's L2
+# cells of whole rows per ufunc call, in the kernel and the row extrema: 512 KiB, so the
+# kernel's three slab-sized operands stay in a core's L2
+_SLAB_CELLS = 1 << 16
 _PARALLEL_CELLS = 1 << 22  # cells of a span of rows: 32 MiB; a map of more fans out (_each_span)
 
 
@@ -144,8 +147,10 @@ def _evaluate_s21(freqs, f_magnon, big_g, cavity, loss) -> np.ndarray:
         |S21|² = κ_ext² / ((κ_tot/2 + q·b)² + (f − f_c − q·a)²)
 
     with κ_tot and κ_ext those of ``cavity``.  A scalar pair is one row.  Each
-    row is written in place, with two row-sized arrays per span of rows as
-    scratch (see ``_each_span``).
+    ufunc call covers a slab of up to ``_SLAB_CELLS`` cells of whole rows: a is
+    written into the slab's rows of the map, and q into the one slab of scratch
+    a span of rows keeps (see ``_each_span``).  Every cell takes the same IEEE
+    operations in the same order whatever the slab, so its bits do not depend on it.
     """
     freqs = np.asarray(freqs, dtype=float)
     f_magnon, big_g = np.atleast_1d(f_magnon, big_g)
@@ -156,21 +161,25 @@ def _evaluate_s21(freqs, f_magnon, big_g, cavity, loss) -> np.ndarray:
     kappa_ext2 = (cavity.external_coupling_fraction * kappa) ** 2
     b = 0.5 * loss.magnon_linewidth
     detuning = np.subtract(freqs, cavity.f_cavity)
+    # each row's Python g**2 (libm's pow): numpy's square and power need not round as it does
+    big_g2 = np.array([g**2 for g in big_g.tolist()], dtype=float)
+    uncoupled = ~(big_g2 > 0)
+    step = max(1, _SLAB_CELLS // max(freqs.size, 1))
 
     def fill_span(rows):
-        a, q = np.empty(freqs.shape), np.empty(freqs.shape)
+        scratch = np.empty((min(step, rows.stop - rows.start), freqs.size))
         with np.errstate(all="ignore"):  # per span: a pool thread starts from numpy's default
-            for out, f_m, g in zip(values[rows], f_magnon[rows].tolist(), big_g[rows].tolist()):
-                np.subtract(freqs, f_m, out=a)
-                np.multiply(a, a, out=q)
+            for start in range(rows.start, rows.stop, step):
+                slab = slice(start, min(start + step, rows.stop))
+                out, q = values[slab], scratch[: slab.stop - slab.start]
+                np.subtract(freqs, f_magnon[slab, None], out=out)  # a = f − f_m, into the map
+                np.multiply(out, out, out=q)
                 q += b * b
-                big_g2 = g**2
-                if big_g2 > 0:
-                    np.divide(big_g2, q, out=q)
-                else:  # uncoupled, even a lossless magnon on resonance leaves the bare cavity
-                    q.fill(0.0)
-                a *= q
-                np.subtract(detuning, a, out=out)
+                np.divide(big_g2[slab, None], q, out=q)
+                # uncoupled, even a lossless magnon on resonance leaves the bare cavity
+                q[uncoupled[slab]] = 0.0
+                out *= q
+                np.subtract(detuning, out, out=out)
                 out *= out
                 q *= b
                 q += 0.5 * kappa

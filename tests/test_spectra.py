@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -120,6 +121,38 @@ def _reference_s21(freqs, f_magnon, cavity, coupling, loss):
     if big_g2 > 0:
         power = np.where(singular, 0.0, power)
     return np.where(dead, 0.0, power)
+
+
+def _row_kernel(freqs, f_magnon, big_g, cavity, loss):
+    """The map kernel at one row per ufunc call: the slab kernel's bit-for-bit oracle."""
+    freqs = np.asarray(freqs, dtype=float)
+    f_magnon, big_g = np.atleast_1d(f_magnon, big_g)
+    values = np.empty((f_magnon.size, freqs.size))
+    kappa = cavity.total_linewidth
+    kappa_ext2 = (cavity.external_coupling_fraction * kappa) ** 2
+    b = 0.5 * loss.magnon_linewidth
+    detuning = np.subtract(freqs, cavity.f_cavity)
+    a, q = np.empty(freqs.shape), np.empty(freqs.shape)
+    with np.errstate(all="ignore"):
+        for out, f_m, g in zip(values, f_magnon.tolist(), big_g.tolist()):
+            np.subtract(freqs, f_m, out=a)
+            np.multiply(a, a, out=q)
+            q += b * b
+            big_g2 = g**2
+            if big_g2 > 0:
+                np.divide(big_g2, q, out=q)
+            else:  # uncoupled, even a lossless magnon on resonance leaves the bare cavity
+                q.fill(0.0)
+            a *= q
+            np.subtract(detuning, a, out=out)
+            out *= out
+            q *= b
+            q += 0.5 * kappa
+            q *= q
+            out += q
+            np.divide(kappa_ext2, out, out=out)
+            np.fmax(out, 0.0, out=out)
+    return values
 
 
 class TestKernelOracle:
@@ -438,6 +471,15 @@ def _span_map(case, spins, cavity, coupling, loss):
     return ac.add_noise(tmap, 0.2, seed=3) if case == "add-noise" else tmap
 
 
+def _assert_same_bits(got, want):
+    """The two maps' values and row extrema as int64 views (-0.0 and NaN bits count), and peaks."""
+    for name in ("values", "_row_min", "_row_max"):
+        assert np.array_equal(
+            getattr(got, name).view(np.int64), getattr(want, name).view(np.int64)
+        ), name
+    assert repr(ac.extract_peaks(got, 0.2)) == repr(ac.extract_peaks(want, 0.2))
+
+
 class TestSpans:
     @pytest.mark.parametrize(
         "case", ["default", "past-spin-flop", "lossless-magnon", "uncoupled-port", "add-noise"]
@@ -451,11 +493,7 @@ class TestSpans:
         assert pools
         if case in ("lossless-magnon", "uncoupled-port"):
             assert np.any(inline.values == 0.0)
-        for name in ("values", "_row_min", "_row_max"):  # int64 views: -0.0 and NaN bits count
-            assert np.array_equal(
-                getattr(pooled, name).view(np.int64), getattr(inline, name).view(np.int64)
-            ), name
-        assert repr(ac.extract_peaks(pooled, 0.2)) == repr(ac.extract_peaks(inline, 0.2))
+        _assert_same_bits(pooled, inline)
 
     def test_one_row_spans_on_more_workers_than_cpus_switching_fast(
         self, default_map, spins, cavity, coupling, loss, monkeypatch
@@ -546,6 +584,7 @@ class TestSpans:
         self, spins, cavity, coupling, loss, monkeypatch
     ):
         pools = _force_pool(monkeypatch)
+        monkeypatch.setattr(spectra, "_SLAB_CELLS", 4 * 1401)  # slabs of 4 rows in spans of 20
         _span_map("default", spins, cavity, coupling, loss)  # imports the pool's module
         tracemalloc.start()
         try:
@@ -554,10 +593,26 @@ class TestSpans:
         finally:
             tracemalloc.stop()
         assert len(pools) == 4
-        # the map, two scratch rows per worker, the shared detuning row, and 96 KiB for
-        # the field-length arrays and the pool's own objects: no temporary grows with a span
+        # the map; per worker, one scratch slab and the iterator buffers of a ufunc call
+        # that broadcasts a row or a column (at most two operands of np.getbufsize() cells);
+        # the shared detuning row; and 96 KiB for the field-length arrays and the pool's own
+        # objects: no temporary grows with a span
         row = tmap.freq_axis.nbytes
-        assert peak <= tmap.values.nbytes + (3 * 2 + 1) * row + 96 * 1024
+        buffers = 2 * np.getbufsize() * tmap.values.itemsize
+        assert peak <= tmap.values.nbytes + 3 * (4 * row + buffers) + row + 96 * 1024
+
+    def test_default_sweep_leaves_the_pool_module_unimported(self, tmp_path):
+        # concurrent.futures costs 3-5 ms of start-up; only a map that fans out imports it
+        code = (
+            "import sys, afmcavity.cli\n"
+            "assert afmcavity.cli.main(['sweep', '--out', 'm.csv']) == 0\n"
+            "assert 'concurrent.futures' not in sys.modules, 'imported'\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(ac.__file__).resolve().parents[1])}
+        child = subprocess.run([sys.executable, "-W", "error", "-c", code], cwd=tmp_path, env=env,
+                               capture_output=True, encoding="utf-8", timeout=120)
+        assert (child.returncode, child.stderr) == (0, "")
+        assert (tmp_path / "m.csv").exists()
 
     def test_worker_count_reads_the_affinity_mask(self, monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "1")  # pins BLAS and OpenMP pools, not this one
@@ -565,6 +620,41 @@ class TestSpans:
             assert spectra._workers() == len(os.sched_getaffinity(0))
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert spectra._workers() == (os.cpu_count() or 1)
+
+
+class TestSlabs:
+    """The slab kernel against ``_row_kernel``, bit for bit, with warnings as errors."""
+
+    @pytest.mark.parametrize(
+        "case", ["default", "past-spin-flop", "lossless-magnon", "uncoupled-port", "add-noise"]
+    )
+    def test_span_maps_match_the_row_kernel(self, case, spins, cavity, coupling, loss, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slabs = _span_map(case, spins, cavity, coupling, loss)
+            monkeypatch.setattr(spectra, "_evaluate_s21", _row_kernel)
+            rows = _span_map(case, spins, cavity, coupling, loss)
+        _assert_same_bits(slabs, rows)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.035])
+    @pytest.mark.parametrize("slab_rows", [None, 1, 3, 7])  # 3 and 7 leave a short last slab
+    def test_mixed_rows_match_the_row_kernel(self, slab_rows, gamma, cavity, monkeypatch):
+        freqs = ac.GridSpec(start=8.0, stop=15.0, step=0.005).samples()
+        f_magnon = freqs[np.linspace(100, 1300, 45).astype(int)]  # a sample exactly at each f_m
+        f_magnon[1::2] += 0.0025  # and every other row between two samples
+        big_g = np.resize([1.72, 0.0, 1e-170, 0.3, 0.0], 45)  # slabs mix G = 0 and G > 0 rows
+        assert (1e-170) ** 2 == 0.0  # G² underflows: the row is uncoupled
+        loss = ac.LossParams(magnon_linewidth=gamma)
+        pools = _force_pool(monkeypatch)  # spans of rows 0-19, 20-39 and 40-44
+        if slab_rows is not None:
+            monkeypatch.setattr(spectra, "_SLAB_CELLS", slab_rows * freqs.size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spectra._evaluate_s21(freqs, f_magnon, big_g, cavity, loss)
+        want = _row_kernel(freqs, f_magnon, big_g, cavity, loss)
+        assert pools
+        assert np.any(got == 0.0) == (gamma == 0.0)  # the lossless magnon on resonance
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestVerticalCut:
