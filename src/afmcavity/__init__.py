@@ -8,7 +8,6 @@ tesla-to-GHz conversion, and temperature-trend fits.
 
 from .analysis import (
     ColumnPeaks,
-    ConvergenceError,
     FitError,
     FitReport,
     PeakSet,
@@ -64,7 +63,6 @@ __all__ = [
     "CavityParams",
     "ColumnPeaks",
     "ConfigError",
-    "ConvergenceError",
     "CouplingParams",
     "FitError",
     "FitReport",

@@ -7,7 +7,7 @@ solver in :mod:`afmcavity.optimize` with analytic Jacobians.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -19,10 +19,6 @@ from .spectra import TransmissionMap, write_csv
 PARAMETER_ORDER = ("big_g", "f_afmr0", "g_factor", "f_cavity")
 MIN_PROMINENCE = 0.1  # extract_peaks' default, a fraction of the column maximum
 FIT_WINDOW = (0.0, 1.1)  # tesla; fit_avoided_crossing's default, short of the spin-flop region
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when an optimizer fails to reach its tolerances."""
 
 
 # --- peak extraction --------------------------------------------------------
@@ -180,14 +176,14 @@ class FitReport:
     parameter_names: tuple[str, ...]
     values: tuple[float, ...]
     uncertainties: tuple[float, ...]  # 1 sigma, same order
-    residual_rms: float  # GHz
+    residual_rms: float  # units of the fitted data
     window: tuple[float, float]  # tesla
     iterations: int
     converged: bool
     gradient_norm: float
     fixed: dict = dataclass_field(default_factory=dict)
     message: str = ""  # why the optimizer stopped
-    n_observations: int = 0  # peaks inside the window
+    n_observations: int = 0  # data points inside the window
 
     def __post_init__(self):
         if any(u < 0 for u in self.uncertainties):
@@ -200,6 +196,7 @@ class FitReport:
         return self.uncertainties[self.parameter_names.index(name)]
 
     def to_json_dict(self) -> dict:
+        """The branch fit's file, whose keys name its units; ``linewidth`` writes its own."""
         return {
             "parameters": dict(zip(self.parameter_names, self.values)),
             "uncertainties": dict(zip(self.parameter_names, self.uncertainties)),
@@ -212,6 +209,23 @@ class FitReport:
             "message": self.message,
             "n_observations": self.n_observations,
         }
+
+
+def _fit_report(result, names, window, scale=1.0, shift=0.0, unit=1.0, **fields) -> FitReport:
+    """``optimize.solve``'s result as a report: values x·scale + shift, σ·scale, RMS·unit."""
+    return FitReport(
+        parameter_names=names,
+        values=tuple((result.x * scale + shift).tolist()),
+        uncertainties=tuple((result.uncertainties * scale).tolist()),
+        residual_rms=float(np.sqrt(result.cost / result.residual.size)) * unit,
+        window=window,
+        iterations=result.iterations,
+        converged=result.converged,
+        gradient_norm=result.gradient_norm,
+        message=result.message,
+        n_observations=result.residual.size,
+        **fields,
+    )
 
 
 def _make_objective(b_arr: np.ndarray, p_arr: np.ndarray, baseline: dict, names):
@@ -310,19 +324,7 @@ def fit_avoided_crossing(
     x0 = np.array([baseline[name] for name in names])
     result = optimize.solve(residual, x0, jacobian, names)
     fixed = {name: baseline[name] for name in PARAMETER_ORDER if name not in names}
-    return FitReport(
-        parameter_names=names,
-        values=tuple(float(v) for v in result.x),
-        uncertainties=tuple(float(u) for u in result.uncertainties),
-        residual_rms=float(np.sqrt(result.cost / result.residual.size)),
-        window=(lo, hi),
-        iterations=result.iterations,
-        converged=result.converged,
-        gradient_norm=result.gradient_norm,
-        fixed=fixed,
-        message=result.message,
-        n_observations=p_arr.size,
-    )
+    return _fit_report(result, names, (lo, hi), fixed=fixed)
 
 
 # --- field-domain linewidth -------------------------------------------------
@@ -336,10 +338,11 @@ def _pair_columns(pairs, message: str) -> tuple[np.ndarray, np.ndarray]:
     return data[:, 0], data[:, 1]
 
 
-def field_linewidth(cut) -> float:
-    """FWHM (tesla) of a single-peaked transmission-vs-field trace.
+def field_linewidth(cut) -> FitReport:
+    """Lorentzian fit, with a flat baseline, of a single-peaked transmission-vs-field trace.
 
-    Fits a Lorentzian with a flat baseline; fields must strictly increase.  Raises
+    Fields must strictly increase.  The report's ``center`` and ``width`` (the FWHM) are in
+    tesla, its ``amplitude`` and ``offset`` in the trace's power units.  Raises
     :class:`FitError` naming the failure mode for flat, multi-peaked or under-sampled traces,
     and for one whose maximum sits on its first or last field.
     """
@@ -349,9 +352,10 @@ def field_linewidth(cut) -> float:
         raise ValueError("cut fields must be strictly increasing")
     base = float(p.min())
     peak = float(p.max())
-    if peak - base <= 1e-12 * max(abs(peak), 1.0):
+    height = peak - base
+    if height <= 1e-12 * max(abs(peak), 1.0):
         raise FitError("no peak: the trace is flat")
-    above = np.flatnonzero(p > base + 0.5 * (peak - base))
+    above = np.flatnonzero(p > base + 0.5 * height)
     regions = 1 + int(np.count_nonzero(np.diff(above) > 1))
     if regions > 1:
         raise FitError(f"multiple peaks: {regions} disjoint regions above half maximum")
@@ -371,7 +375,7 @@ def field_linewidth(cut) -> float:
     # Nondimensionalize so the optimizer sees O(1) parameters regardless of
     # whether the peak is millitesla- or tesla-wide.
     x_scaled = (b - center0) / width0
-    y_scaled = (p - base) / (peak - base)
+    y_scaled = (p - base) / height
 
     def residual(x: np.ndarray) -> np.ndarray:
         center, width, amplitude, offset = x
@@ -395,9 +399,10 @@ def field_linewidth(cut) -> float:
 
     names = ("center", "width", "amplitude", "offset")
     result = optimize.solve(residual, np.array([0.0, 1.0, 1.0, 0.0]), jacobian, names)
-    if not result.converged:
-        raise ConvergenceError(f"linewidth fit did not converge: {result.message}")
-    return float(abs(result.x[1]) * width0)
+    result.x[1] = abs(result.x[1])
+    return _fit_report(result, names, (float(b[0]), float(b[-1])),
+                       scale=np.array([width0, width0, height, height]),
+                       shift=np.array([center0, 0.0, 0.0, base]), unit=height)
 
 
 def linewidth_field_to_freq(gamma_b: float, g_factor: float) -> float:
@@ -443,6 +448,9 @@ class TrendFit:
     sign: str  # "+" or "-"
     residual_rms: float
     exponent_free: bool = False
+    uncertainties: dict = dataclass_field(default_factory=dict)  # 1 sigma of each fitted value
+    converged: bool = True
+    message: str = ""  # why the optimizer stopped
 
     def __post_init__(self):
         if self.sign not in ("+", "-"):
@@ -467,7 +475,8 @@ def fit_t4_trend(
     ``points`` is a sequence of (temperature, value) pairs; temperatures are
     converted to kelvin according to ``temperature_unit`` ("K" or "mK") so
     the returned coefficient is always per K^p.  Two points suffice for the
-    fixed-exponent fit; the free-exponent fit needs at least three.
+    fixed-exponent fit, a linear least-squares one; the free-exponent fit starts
+    from it and needs at least three.  Only a converged fit is checked.
     """
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
@@ -491,33 +500,41 @@ def fit_t4_trend(
     solution, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < 2:
         raise FitError("singular design: temperatures⁴ are numerically collinear with the offset")
-    x = np.append(solution, 4.0)
+    names = ("offset", "coefficient", "exponent") if exponent_free else ("offset", "coefficient")
+    x0 = np.append(solution, 4.0) if exponent_free else solution
 
     def residual(x: np.ndarray) -> np.ndarray:
-        a, bb, p = x
-        return a + s * bb * t**p - y
+        p = x[2] if exponent_free else 4.0
+        return x[0] + s * x[1] * t**p - y
 
-    if exponent_free:
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        tp = t ** (x[2] if exponent_free else 4.0)
+        columns = [np.ones_like(t), s * tp]
+        if exponent_free:
+            columns.append(s * x[1] * tp * np.log(t))
+        return np.column_stack(columns)
 
-        def jacobian(x: np.ndarray) -> np.ndarray:
-            _, bb, p = x
-            tp = t**p
-            return np.column_stack([np.ones_like(t), s * tp, s * bb * tp * np.log(t)])
-
-        result = optimize.solve(residual, x, jacobian, ("offset", "coefficient", "exponent"))
-        if not result.converged:
-            raise ConvergenceError(f"trend fit did not converge: {result.message}")
-        x = result.x
-    res = residual(x)
-
+    result = optimize.solve(residual, x0, jacobian, names)
+    if not exponent_free:
+        # The model is linear in A and B, so lstsq's solution is the minimum and the solver
+        # supplies only σ.  Its stop tests can misread exact data's rounding-floor residual
+        # as a stall and step off that minimum by rounding, so its x and flag are not kept.
+        r = residual(solution)
+        result = replace(result, x=solution, cost=float(r @ r), converged=True,
+                         message="linear least-squares solution")
     fit = TrendFit(
-        offset=float(x[0]),
-        coefficient=float(x[1]),
-        exponent=float(x[2]),
+        offset=float(result.x[0]),
+        coefficient=float(result.x[1]),
+        exponent=float(result.x[2]) if exponent_free else 4.0,
         sign=sign,
-        residual_rms=float(np.sqrt(res @ res / t.size)),
+        residual_rms=float(np.sqrt(result.cost / t.size)),
         exponent_free=exponent_free,
+        uncertainties=dict(zip(names, result.uncertainties.tolist())),
+        converged=result.converged,
+        message=result.message,
     )
+    if not fit.converged:
+        return fit
     if fit.offset <= 0:
         raise FitError(f"unphysical trend: fitted offset {fit.offset} is not positive")
     # Each y rounded by eps, and lstsq's backward error of that order, move B by up to

@@ -14,7 +14,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, core, phase, spectra
-from .analysis import ConvergenceError
 from .config import ConfigError, GridSpec, build_section, load_config
 
 EXIT_OK = 0
@@ -66,6 +65,14 @@ def _emit(chunks, out: str | None) -> None:
             # what is left unwritten goes to devnull, so that the flush at exit cannot fail
             with open(os.devnull, "w") as devnull:
                 os.dup2(devnull.fileno(), f.fileno())
+
+
+def _emit_fit(name: str, payload: dict, fit, out: str | None) -> int:
+    """Write a fit's ``payload``, and exit 3 with one error line unless the fit converged."""
+    _emit([spectra.write_json(payload)], out)
+    if not fit.converged:
+        print(f"error: {name} fit did not converge: {fit.message}", file=sys.stderr)
+    return EXIT_OK if fit.converged else EXIT_NO_CONVERGENCE
 
 
 def _map_params(args):
@@ -150,21 +157,23 @@ def cmd_fit(args) -> int:
         loss.magnon_linewidth,
     )
     payload["regime"] = {"label": regime.label, "ratio": regime.ratio}
-    _emit([spectra.write_json(payload)], args.out)
-    return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
+    return _emit_fit("branch", payload, report, args.out)
 
 
 def cmd_linewidth(args) -> int:
     tmap, spins, cavity, coupling, _ = _map_params(args)
     cut = spectra.vertical_cut(tmap, args.freq)
-    gamma_t = analysis.field_linewidth(cut)
-    gamma_f = analysis.linewidth_field_to_freq(gamma_t, spins.g_factor)
+    report = analysis.field_linewidth(cut)
+    gamma_f = analysis.linewidth_field_to_freq(report.value_of("width"), spins.g_factor)
     payload = {
         "frequency_ghz": cut.frequency,
-        "gamma_tesla": gamma_t,
+        "gamma_tesla": report.value_of("width"),
+        "gamma_tesla_sigma": report.uncertainty_of("width"),
         "gamma_ghz": gamma_f,
         "conversion_ghz_per_tesla": analysis.linewidth_field_to_freq(1.0, spins.g_factor),
         "g_factor": spins.g_factor,
+        "converged": report.converged,
+        "message": report.message,
     }
     if "spins" in tmap.metadata:
         # With the synthesis record available, also report the polariton
@@ -182,8 +191,7 @@ def cmd_linewidth(args) -> int:
         except ValueError:
             corrected = None
         payload["magnon_corrected_ghz"] = corrected
-    _emit([spectra.write_json(payload)], args.out)
-    return EXIT_OK
+    return _emit_fit("linewidth", payload, report, args.out)
 
 
 def cmd_trend(args) -> int:
@@ -194,8 +202,7 @@ def cmd_trend(args) -> int:
         exponent_free=args.free_exponent,
         temperature_unit=args.t_unit,
     )
-    _emit([spectra.write_json(fit.to_json_dict())], args.out)
-    return EXIT_OK
+    return _emit_fit("trend", fit.to_json_dict(), fit, args.out)
 
 
 def cmd_phase_map(args) -> int:
@@ -303,9 +310,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

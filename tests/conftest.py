@@ -1,4 +1,4 @@
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -71,3 +71,32 @@ def numerical_jacobian(
         xm[i] -= h
         jac[:, i] = (np.asarray(fun(xp)) - np.asarray(fun(xm))) / (2.0 * h)
     return jac
+
+
+class Coverage(NamedTuple):
+    share: float  # of the values within 1σ of the truth
+    low: float  # Wilson score bounds on that share at ``z``
+    high: float
+    trials: int
+
+
+def sigma_coverage(draw: Callable, truth, seeds, z: float = 1.96) -> Coverage:
+    """Share of seeded draws whose fitted value lies within its 1σ of ``truth``.
+
+    ``draw(seed)`` returns a (value, σ) pair, or two arrays of them matching ``truth``;
+    each value counts as one Bernoulli trial.  A σ that is right covers about 0.683 of
+    Gaussian errors (less with few residual degrees of freedom), so a share far below
+    is a σ too small, and one far above a σ too large: a frequentist form of
+    simulation-based calibration (Talts et al. 2018, arXiv:1804.06788).  The bounds
+    are the binomial Wilson score interval, whose trials must be independent.
+    """
+    hits = trials = 0
+    for seed in seeds:
+        value, sigma = draw(seed)
+        within = np.abs(np.asarray(value, dtype=float) - truth) <= sigma
+        hits += int(np.count_nonzero(within))
+        trials += within.size
+    share = hits / trials
+    center = (hits + z * z / 2) / (trials + z * z)
+    half = z / (trials + z * z) * np.sqrt(hits * (trials - hits) / trials + z * z / 4)
+    return Coverage(share, float(center - half), float(center + half), trials)

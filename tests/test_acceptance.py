@@ -94,7 +94,7 @@ def test_criterion_5_linewidth_pipeline(spins, cavity, coupling, loss):
         spins, cavity, coupling, loss,
     )
     cut = ac.vertical_cut(tmap, 15.6)
-    gamma_t = ac.field_linewidth(cut)
+    gamma_t = ac.field_linewidth(cut).value_of("width")
     gamma_f = ac.linewidth_field_to_freq(gamma_t, spins.g_factor)
     assert gamma_t > 0
     # the conversion is exactly gamma_B * g * 13.996245 GHz/T

@@ -13,7 +13,11 @@ from hypothesis import strategies as st
 import afmcavity as ac
 from afmcavity import GHZ_PER_TESLA_PER_G, analysis, optimize, spectra
 from afmcavity.analysis import _make_objective
-from conftest import crossing_field, map_freq_step, numerical_jacobian
+from conftest import crossing_field, map_freq_step, numerical_jacobian, sigma_coverage
+
+# curve_fit's default tolerances stop it about 1e-6 short of the minimum that
+# optimize.solve reaches; its σ is compared at that minimum
+CURVE_FIT_TOLERANCES = {"xtol": 1e-15, "ftol": 1e-15, "gtol": 1e-15}
 
 
 def lorentzian_map(f_center, freq_axis, n_fields=1):
@@ -750,7 +754,8 @@ class TestFieldLinewidth:
         b = np.linspace(0.60, 0.76, 2001)
         width = 1.25e-3
         p = 0.3 + 2.0 * (width / 2) ** 2 / ((b - 0.68) ** 2 + (width / 2) ** 2)
-        assert ac.field_linewidth(list(zip(b, p))) == pytest.approx(width, rel=0.01)
+        report = ac.field_linewidth(list(zip(b, p)))
+        assert report.value_of("width") == pytest.approx(width, rel=0.01)
 
     @pytest.mark.parametrize("freq, edge", [
         pytest.param(11.25, "0.0", id="11.25"),
@@ -772,8 +777,9 @@ class TestFieldLinewidth:
             with pytest.raises(analysis.FitError, match=message):
                 ac.field_linewidth(cut)
         else:
-            width = ac.field_linewidth(cut)
-            assert np.isfinite(width) and width > 0
+            report = ac.field_linewidth(cut)
+            width = report.value_of("width")
+            assert report.converged and np.isfinite(width) and width > 0
 
     def test_fields_out_of_order_rejected(self):
         # unchecked, descending fields fit a negative width and shuffled ones read as many peaks
@@ -820,7 +826,7 @@ class TestFieldLinewidth:
             spins, cavity, coupling, loss,
         )
         cut = ac.vertical_cut(tmap, 15.6)
-        gamma_b = ac.field_linewidth(cut)
+        gamma_b = ac.field_linewidth(cut).value_of("width")
         gamma_f = ac.linewidth_field_to_freq(gamma_b, spins.g_factor)
         # the polariton line mixes in cavity damping; agreement is loose
         assert gamma_f == pytest.approx(0.035, rel=0.2)
@@ -836,6 +842,22 @@ class TestFieldLinewidth:
         cut = ac.vertical_cut(default_map, 10.0)
         with pytest.raises(analysis.FitError, match="refine the field grid"):
             ac.field_linewidth(cut)
+
+    def test_sigma_matches_curve_fit(self):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+
+        def lorentzian(b, center, width, amplitude, offset):
+            return offset + amplitude * (width / 2) ** 2 / ((b - center) ** 2 + (width / 2) ** 2)
+
+        b = np.linspace(0.60, 0.76, 801)
+        p = lorentzian(b, 0.68, 0.01, 2.0, 0.3)
+        p += 0.02 * np.random.default_rng(31).standard_normal(b.size)
+        report = ac.field_linewidth(list(zip(b, p)))
+        popt, pcov = scipy_optimize.curve_fit(lorentzian, b, p, p0=(0.679, 0.012, 1.8, 0.25),
+                                              **CURVE_FIT_TOLERANCES)
+        assert report.converged and report.window == (0.60, 0.76)
+        assert report.values == pytest.approx(popt, rel=1e-6)
+        assert report.uncertainties == pytest.approx(np.sqrt(np.diag(pcov)), rel=1e-6)
 
 
 class TestLinewidthConversion:
@@ -880,10 +902,49 @@ class TestLinewidthConversion:
             spins, cavity, coupling, loss,
         )
         cut = ac.vertical_cut(tmap, 15.6)
-        gamma_f = ac.linewidth_field_to_freq(ac.field_linewidth(cut), spins.g_factor)
+        gamma_b = ac.field_linewidth(cut).value_of("width")
+        gamma_f = ac.linewidth_field_to_freq(gamma_b, spins.g_factor)
         f_m = ac.magnon_branches(spins, float(cut.fields[np.argmax(cut.powers)])).lower
         corrected = ac.magnon_linewidth_estimate(gamma_f, f_m, cavity, coupling)
         assert corrected == pytest.approx(loss.magnon_linewidth, rel=5e-3)
+
+
+def tier1_trend_inputs():
+    """(points, sign, temperature_unit) of each fixed-exponent trend fit that the Tier-1
+    tests make and that returns a fit, with the README's points and the benchmark's."""
+    rng = np.random.default_rng
+    t_lw, t_g = np.linspace(0.25, 1.0, 15), np.linspace(0.3, 1.5, 25)
+
+    def noisy(t, y, seed):  # (t, y) pairs, y with 1% multiplicative noise
+        return zip(t, y * (1 + 0.01 * rng(seed).standard_normal(t.size)))
+
+    yield noisy(t_lw, 34.8 + 30.0 * t_lw**4, 12), "+", "K"
+    yield [(0.5, 10.0), (1.0, 26.0)], "+", "K"
+    for seed in range(10):
+        yield noisy(t_g, 1.7 - 0.2 * t_g**4, seed), "-", "K"
+    for seed in range(50):  # the acceptance suite's trend recovery
+        yield noisy(t_lw, 34.8 + 30.0 * t_lw**4, seed), "+", "K"
+        yield noisy(t_g, 1.7 - 0.2 * t_g**4, 1000 + seed), "-", "K"
+    yield [(x, 5.5) for x in np.linspace(0.2, 1.4, 9)], "-", "K"
+    t = np.linspace(0.2, 1.0, 9)
+    yield zip(t, 3.0 + 2.0 * t**4), "+", "K"
+    yield zip(t * 1e3, 3.0 + 2.0 * t**4), "+", "mK"
+    t = np.linspace(0.3, 1.4, 12)
+    yield zip(t, 34.8 + 25.0 * t**4), "+", "K"
+    t = np.linspace(300, 1400, 12)
+    yield zip(t, 1.7 - 0.2 * (t / 1e3) ** 4), "-", "mK"
+    for sign in "+-":
+        yield [(x, 35.0) for x in np.linspace(0.2, 1.5, 8)], sign, "K"
+    draws = rng(28)  # the command line's scan of resolvable designs
+    for i in range(100):
+        t = np.sort(draws.uniform(0.01, 3.0, int(draws.integers(3, 9))))
+        p, sign, unit = draws.uniform(2.0, 6.0), "+-"[i % 2], ("mK", "K", "K")[i % 3]
+        a = draws.uniform(10.0, 50.0)
+        b = draws.uniform(0.1, 0.9) * a / t[-1] ** p * (1 if sign == "+" else -1)
+        y = a + b * t**p + 1e-4 * a * draws.standard_normal(t.size)
+        yield zip(t * (1e3 if unit == "mK" else 1.0), y), sign, unit
+    yield [(0.3, 35.0), (0.7, 36.1), (1.0, 42.5)], "+", "K"
+    yield [(0.2 * i, 35.0 + 5.0 * (0.2 * i) ** 4) for i in range(1, 8)], "+", "K"
 
 
 class TestTrendFit:
@@ -980,9 +1041,73 @@ class TestTrendFit:
                 assert float(head.removeprefix("fitted coefficient ")) == pytest.approx(-0.5)
                 assert rest == f"sign {sign!r}: the data {trend} with temperature"
 
+    def test_fixed_exponent_overflowing_sigma_rejected(self):
+        # s² (about 1e300) times diag((JᵀJ)⁻¹) (about 1e8) overflows σ², which solve refuses
+        # as it does for the free and the branch fits; at 1e-10 of these values σ is finite
+        points = [(1.0, 1e150), (1.00001, 3e150), (1.00002, 1.0001e150)]
+        with pytest.raises(analysis.FitError,
+                           match="^the data do not constrain offset, coefficient: uncertainty"):
+            ac.fit_t4_trend(points, sign="+")
+        small = ac.fit_t4_trend([(t, y * 1e-10) for t, y in points], sign="+")
+        assert all(np.isfinite(u) for u in small.uncertainties.values())
+
+    def test_fixed_exponent_is_the_linear_least_squares_solution(self):
+        for points, sign, unit in tier1_trend_inputs():
+            points = [(float(x), float(y)) for x, y in points]
+            fit = ac.fit_t4_trend(points, sign=sign, temperature_unit=unit)
+            temps, y = np.array(points).T
+            t = temps * (1e-3 if unit == "mK" else 1.0)
+            design = np.column_stack([np.ones_like(t), (1.0 if sign == "+" else -1.0) * t**4])
+            solution = np.linalg.lstsq(design, y, rcond=None)[0]
+            assert (fit.offset, fit.coefficient) == tuple(solution.tolist()), (points, sign)
+
+    def test_exact_data_fixed_exponent_converges(self):
+        # the residual of exact data is rounding: at 3-20 K the solver's gradient test reads
+        # T⁴ times it, and it is not orthogonal to J, so the solver alone would call a stall
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            t = np.sort(rng.uniform(0.05, 20.0, int(rng.integers(2, 7))))
+            points = list(zip(t, 30.0 + rng.uniform(0.0, 0.1) * t**4))
+            fit = ac.fit_t4_trend(points, sign="+")
+            assert (fit.converged, fit.message) == (True, "linear least-squares solution")
+            assert list(fit.uncertainties) == ["offset", "coefficient"]
+
+    @pytest.mark.parametrize("exponent_free", [False, True], ids=["fixed", "free"])
+    def test_sigma_matches_curve_fit(self, exponent_free):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+
+        def falling(t, offset, coefficient, exponent=4.0):
+            return offset - coefficient * t**exponent
+
+        t = np.linspace(0.3, 1.5, 25)
+        y = falling(t, 1.7, 0.2) + 0.01 * np.random.default_rng(5).standard_normal(t.size)
+        fit = ac.fit_t4_trend(list(zip(t, y)), sign="-", exponent_free=exponent_free)
+        names = ("offset", "coefficient", "exponent") if exponent_free else ("offset", "coefficient")
+        p0 = (1.0, 0.1, 3.0) if exponent_free else (1.0, 0.1)
+        popt, pcov = scipy_optimize.curve_fit(falling, t, y, p0=p0, **CURVE_FIT_TOLERANCES)
+        assert fit.converged and tuple(fit.uncertainties) == names
+        for name, value, sigma in zip(names, popt, np.sqrt(np.diag(pcov))):
+            assert getattr(fit, name) == pytest.approx(value, rel=1e-6)
+            assert fit.uncertainties[name] == pytest.approx(sigma, rel=1e-6)
+
+    def test_fixed_exponent_sigma_covers_two_thirds(self):
+        # additive Gaussian noise: |B - truth| <= σ_B in about 0.68 of draws (0.66 at the
+        # 10 residual degrees of freedom here)
+        t = np.linspace(0.3, 1.5, 12)
+
+        def draw(seed):
+            y = 1.7 + 0.2 * t**4 + 0.05 * np.random.default_rng(seed).standard_normal(t.size)
+            fit = ac.fit_t4_trend(list(zip(t, y)), sign="+")
+            return fit.coefficient, fit.uncertainties["coefficient"]
+
+        coverage = sigma_coverage(draw, 0.2, range(200))
+        assert coverage.trials == 200 and coverage.low < coverage.share < coverage.high
+        assert 0.55 <= coverage.share <= 0.80, coverage
+
     def test_serialization_keys(self):
         fit = ac.fit_t4_trend([(0.5, 10.0), (1.0, 26.0)], sign="+")
         payload = fit.to_json_dict()
         assert set(payload) == {
             "offset", "coefficient", "exponent", "sign", "residual_rms", "exponent_free",
+            "uncertainties", "converged", "message",
         }

@@ -330,7 +330,8 @@ class TestLinewidth:
         monkeypatch.setattr(analysis_module.optimize, "levenberg_marquardt", stalled)
         assert main(["linewidth", str(fine_map), "--freq", "15.6"]) == 3
         captured = capsys.readouterr()
-        assert captured.out == ""
+        report = json.loads(captured.out)  # the report is written at exit 3 too
+        assert (report["converged"], report["message"]) == (False, "maximum iterations reached")
         assert captured.err == (
             "error: linewidth fit did not converge: maximum iterations reached\n"
         )
@@ -465,9 +466,9 @@ class TestTrend:
         path.write_text(body)
         assert main(["trend", str(path), "--free-exponent"]) == 3
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: trend fit did not converge: ")
-        assert captured.err.count("\n") == 1
+        report = json.loads(captured.out)  # the report is written at exit 3 too
+        assert report["converged"] is False
+        assert captured.err == f"error: trend fit did not converge: {report['message']}\n"
 
     @pytest.mark.parametrize("body, lineno", [
         pytest.param("t,y\n0.5,1.0\n0.6,oops\n", 3, id="bad-value"),
@@ -786,22 +787,14 @@ class TestExitCodes:
         original_fit = analysis_module.fit_avoided_crossing
 
         def stalled_fit(*args, **kwargs):
-            report = original_fit(*args, **kwargs)
-            return analysis_module.FitReport(
-                parameter_names=report.parameter_names,
-                values=report.values,
-                uncertainties=report.uncertainties,
-                residual_rms=report.residual_rms,
-                window=report.window,
-                iterations=report.iterations,
-                converged=False,
-                gradient_norm=report.gradient_norm,
-                fixed=report.fixed,
-            )
+            return replace(original_fit(*args, **kwargs), converged=False,
+                           message="maximum iterations reached")
 
         monkeypatch.setattr(cli_module.analysis, "fit_avoided_crossing", stalled_fit)
         assert main(["fit", str(sweep_map)]) == 3
-        capsys.readouterr()
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["converged"] is False
+        assert captured.err == "error: branch fit did not converge: maximum iterations reached\n"
 
 
 class TestRemovedFlags:
@@ -883,9 +876,9 @@ class TestProcess:
     def test_unconverged_trend_exit_3(self, tmp_path):
         (tmp_path / "flat.csv").write_text("0.3,35\n0.5,35.0001\n0.7,35\n1.0,35.0002\n1.5,35\n")
         run = _afmcavity("trend", "flat.csv", "--free-exponent", cwd=tmp_path)
-        assert (run.returncode, run.stdout) == (3, "")
-        assert run.stderr.startswith("error: trend fit did not converge: ")
-        assert run.stderr.count("\n") == 1
+        report = json.loads(run.stdout)  # the report is written at exit 3 too
+        assert (run.returncode, report["converged"]) == (3, False)
+        assert run.stderr == f"error: trend fit did not converge: {report['message']}\n"
 
     def test_reader_that_stops_early_exit_0_quietly(self, tmp_path):
         # as under `afmcavity phase-map ... | head -n 1`: the 9 MB table outgrows the pipe
@@ -1252,14 +1245,16 @@ class TestFuzz:
                 out = Path(tmp) / f"{argv[0]}.json"
                 code, err = _main_quietly([*argv, "--out", str(out)])
                 assert code in (0, 2, 3), err
-                if code == 2 or (code == 3 and argv[0] == "linewidth"):
+                if code:
                     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+                if code == 2:
                     continue
-                assert err == "", err
                 report = out.read_text()
                 if code == 0:
+                    assert err == "", err
                     assert not NON_FINITE.search(report), report
-                else:  # fit's exit 3 still writes its report
+                else:  # exit 3 still writes its report
+                    assert " fit did not converge: " in err, err
                     assert json.loads(report)["converged"] is False
 
     @given(command=st.sampled_from(["fit", "linewidth"]), data=st.data())
