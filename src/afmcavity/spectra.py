@@ -11,9 +11,10 @@ their own axes and a metadata record of the parameters used to synthesize
 them; they are immutable after construction.
 
 A map is computed, and its row extrema taken, one slab of rows per numpy
-call (``_SLAB_CELLS``).  A map above 4 Mi cells does so one span of rows per
-thread, across the CPUs the process may run on (``taskset`` limits them); the
-bits are the same for any CPU count and slab size (see ``_each_span``).
+call (``_SLAB_CELLS``).  A map above 1 Mi cells does so in spans of rows over
+a thread per CPU the process may run on (``taskset`` limits them), and its
+noise is scaled in those threads while this one draws the next span; the
+bits are the same for any CPU count, span and slab size (see ``_each_span``).
 """
 
 from __future__ import annotations
@@ -43,7 +44,11 @@ class LossParams:
 # cells of whole rows per ufunc call, in the kernel and the row extrema: 512 KiB, so the
 # kernel's three slab-sized operands stay in a core's L2
 _SLAB_CELLS = 1 << 16
-_PARALLEL_CELLS = 1 << 22  # cells of a span of rows: 32 MiB; a map of more fans out (_each_span)
+_PARALLEL_CELLS = 1 << 20  # a map of more cells (8 MiB) fans out (_each_span)
+_SPAN_CELLS = 1 << 22  # cells of a span of rows at most: 32 MiB
+# add_noise's spans: 2 MiB, 18 rows of 14001, so that a span's draw overlaps the scaling of
+# the one before; other spans stay large, as the pool holds the GIL for about 20 µs a span
+_PIPELINE_CELLS = 1 << 18
 
 
 def _workers() -> int:
@@ -54,27 +59,47 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _each_span(fn, n_rows: int, n_cols: int) -> None:
+def _each_span(fn, n_rows: int, n_cols: int, first=None, span_cells=None) -> None:
     """Call ``fn(rows)`` on each ``slice`` of whole rows of an ``n_rows`` × ``n_cols`` map.
 
-    A span holds at most ``_PARALLEL_CELLS`` cells (one row if a row is
-    longer).  A map of more cells runs its spans in a pool of one thread per
-    CPU, any other in order in this thread; spans write disjoint rows, so the
-    bits do not depend on the CPU count.  A span's exception reaches the
-    caller after every thread has ended.
+    There are about two spans per thread, of at most ``span_cells`` cells
+    each (``_SPAN_CELLS`` by default; one row if a row is longer).  A map of
+    more than ``_PARALLEL_CELLS`` cells runs ``fn`` on them in a pool of one
+    thread per CPU, any other in order in this thread; spans write disjoint
+    rows, so the bits do not depend on the CPU count.  ``first(rows)``, if
+    given, runs in this thread, span by span in order, before its span's
+    ``fn``, and waits while two spans per thread are in flight: ``fn`` on one
+    span overlaps ``first`` on the next, and what ``first`` allocates stays
+    bounded and comes from this thread's heap (glibc keeps what a pool
+    thread allocates in that thread's own arena).  An exception of either
+    reaches the caller after every thread has ended, and cancels the spans
+    not started.
     """
-    step = max(1, _PARALLEL_CELLS // max(n_cols, 1))
-    spans = [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
     workers = _workers() if n_rows * n_cols > _PARALLEL_CELLS else 1
+    step = max(1, min(-(-n_rows // (2 * workers)), (span_cells or _SPAN_CELLS) // max(n_cols, 1)))
+    spans = [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
     if workers == 1:
         for rows in spans:
+            if first is not None:
+                first(rows)
             fn(rows)
         return
     from concurrent.futures import ThreadPoolExecutor  # imported here: 3-5 ms of start-up
 
     with ThreadPoolExecutor(workers) as pool:
-        for _ in pool.map(fn, spans):  # a span's exception cancels the spans not started
-            pass
+        try:
+            futures = []
+            for rows in spans:
+                if first is not None:
+                    if len(futures) >= 2 * workers:
+                        futures[-2 * workers].result()
+                    first(rows)
+                futures.append(pool.submit(fn, rows))
+            for future in futures:
+                future.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # leaving the block waits for the spans started
+            raise
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,9 +173,10 @@ def _evaluate_s21(freqs, f_magnon, big_g, cavity, loss) -> np.ndarray:
 
     with κ_tot and κ_ext those of ``cavity``.  A scalar pair is one row.  Each
     ufunc call covers a slab of up to ``_SLAB_CELLS`` cells of whole rows: a is
-    written into the slab's rows of the map, and q into the one slab of scratch
-    a span of rows keeps (see ``_each_span``).  Every cell takes the same IEEE
-    operations in the same order whatever the slab, so its bits do not depend on it.
+    written into the slab's rows of the map, and q into a slab of scratch that
+    the calling thread hands each span of rows (see ``_each_span``).  Every
+    cell takes the same IEEE operations in the same order whatever the slab,
+    so its bits do not depend on it.
     """
     freqs = np.asarray(freqs, dtype=float)
     f_magnon, big_g = np.atleast_1d(f_magnon, big_g)
@@ -166,8 +192,14 @@ def _evaluate_s21(freqs, f_magnon, big_g, cavity, loss) -> np.ndarray:
     uncoupled = ~(big_g2 > 0)
     step = max(1, _SLAB_CELLS // max(freqs.size, 1))
 
+    free, scratches = [], {}  # slabs of scratch: unused ones, and each span's by its first row
+    slab_shape = (min(step, len(values)), freqs.size)
+
+    def new_scratch(rows):  # in the calling thread (see _each_span), the one that takes from free
+        scratches[rows.start] = free.pop() if free else np.empty(slab_shape)
+
     def fill_span(rows):
-        scratch = np.empty((min(step, rows.stop - rows.start), freqs.size))
+        scratch = scratches.pop(rows.start)
         with np.errstate(all="ignore"):  # per span: a pool thread starts from numpy's default
             for start in range(rows.start, rows.stop, step):
                 slab = slice(start, min(start + step, rows.stop))
@@ -190,8 +222,9 @@ def _evaluate_s21(freqs, f_magnon, big_g, cavity, loss) -> np.ndarray:
                 # resonance (q = G²/0) and a zero total denominator.  fmax maps NaN to 0.
                 # An overflow to inf drives q to 0 (a magnon detuned out of reach) or |S21|² to 0.
                 np.fmax(out, 0.0, out=out)
+        free.append(scratch)
 
-    _each_span(fill_span, *values.shape)
+    _each_span(fill_span, *values.shape, first=new_scratch)
     return values
 
 
@@ -252,14 +285,33 @@ def add_noise(tmap: TransmissionMap, sigma_db: float, seed: int) -> Transmission
 
     dB-domain noise matches how a network analyzer measures and keeps the
     Lorentzian tails undistorted.  Deterministic for a fixed seed.
+
+    This thread draws z ~ N(0, 1) into the noisy map one span of rows at a
+    time, in row order, and each span is then scaled in place: on a map that
+    fans out (see ``_each_span``), in a pool thread while this one draws the
+    next span.  A generator's draws in pieces concatenate to its whole draw
+    bit for bit, so the noise depends on neither the spans nor the threads.
+    n = sigma_db·z differs from ``rng.normal(0, sigma_db)``'s 0 + sigma_db·z
+    only in the sign of a zero, which 10^(n/10) = 1 hides.
     """
     sigma_db = core.checked("sigma_db", sigma_db, 0.0)
     rng = np.random.default_rng(seed)
-    noisy = rng.normal(0.0, sigma_db, size=tmap.values.shape)
-    noisy /= 10.0
-    with np.errstate(over="ignore", invalid="ignore"):  # a factor past 1e308 fails the map check
-        np.power(10.0, noisy, out=noisy)
-        noisy *= tmap.values
+    noisy = np.empty(tmap.values.shape)
+
+    def draw(rows):
+        rng.standard_normal(out=noisy[rows])
+
+    def scale(rows):
+        n = noisy[rows]
+        # per span, as a pool thread starts from numpy's default: σ·z or a factor
+        # 10^(n/10) past 1e308 fails the map check
+        with np.errstate(over="ignore", invalid="ignore"):
+            n *= sigma_db
+            n /= 10.0
+            np.power(10.0, n, out=n)
+            n *= tmap.values[rows]
+
+    _each_span(scale, *noisy.shape, first=draw, span_cells=_PIPELINE_CELLS)
     noisy.flags.writeable = False  # handed over without a copy
     metadata = {**tmap.metadata, "noise": {"sigma_db": sigma_db, "seed": int(seed)}}
     return TransmissionMap(tmap.field_axis, tmap.freq_axis, noisy, metadata)

@@ -1,6 +1,7 @@
 """Tests for transmission-map synthesis, noise, cuts, and serialization."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -443,14 +444,43 @@ class TestAddNoise:
         assert reference.shape == noisy.shape == (56, 351)
         assert np.all(np.abs(noisy - reference) <= bound)
 
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("sigma", [0.0, 0.2, 5.0])
+    def test_matches_one_normal_draw_bit_for_bit(self, default_map, sigma, pooled, monkeypatch):
+        """The spans' draws, scaled in any thread, are the whole map's ``rng.normal`` draw."""
+        if pooled:
+            pools = _force_pool(monkeypatch)  # 12 spans of 20 rows
+        for seed in (0, 3, 11, 2**40 + 7):
+            want = np.random.default_rng(seed).normal(0.0, sigma, size=default_map.values.shape)
+            want /= 10.0
+            np.power(10.0, want, out=want)
+            want *= default_map.values
+            got = ac.add_noise(default_map, sigma, seed).values
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), seed
+        assert not pooled or pools
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_overflowing_factor_fails_the_map_check(self, default_map, pooled, monkeypatch):
+        if pooled:
+            pools = _force_pool(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # σ·z, 10^(n/10) and its product overflow silently
+            with pytest.raises(ValueError, match=r"^values must be finite and >= 0, got inf$"):
+                ac.add_noise(default_map, 1e4, 3)
+            with pytest.raises(ValueError, match=r"^values must be finite and >= 0, got inf$"):
+                ac.add_noise(default_map, 1.5e308, 3)  # σ·z itself past the float range
+        assert not pooled or pools
+
 
 def _force_pool(monkeypatch, workers=3):
-    """Spans of 20 rows of a 1401-sample map, in a pool of ``workers`` threads on any host.
+    """Spans of at most 20 rows of a 1401-sample map, in a pool of ``workers`` threads on any host.
 
     The list returned gains an entry each time a map is large enough to fan out.
     """
     pools = []
     monkeypatch.setattr(spectra, "_PARALLEL_CELLS", 20 * 1401)
+    monkeypatch.setattr(spectra, "_SPAN_CELLS", 20 * 1401)
+    monkeypatch.setattr(spectra, "_PIPELINE_CELLS", 20 * 1401)
     monkeypatch.setattr(spectra, "_workers", lambda: pools.append(workers) or workers)
     return pools
 
@@ -496,20 +526,26 @@ class TestSpans:
         _assert_same_bits(pooled, inline)
 
     def test_one_row_spans_on_more_workers_than_cpus_switching_fast(
-        self, default_map, spins, cavity, coupling, loss, monkeypatch
+        self, spins, cavity, coupling, loss, monkeypatch
     ):
-        monkeypatch.setattr(spectra, "_PARALLEL_CELLS", 1401)  # 221 spans of one row
+        cases = ("default", "add-noise")
+        inline = [_span_map(case, spins, cavity, coupling, loss) for case in cases]
+        monkeypatch.setattr(spectra, "_PARALLEL_CELLS", 1401)
+        monkeypatch.setattr(spectra, "_SPAN_CELLS", 1401)  # 221 spans of one row
+        monkeypatch.setattr(spectra, "_PIPELINE_CELLS", 1401)
         monkeypatch.setattr(spectra, "_workers", lambda: 2 * (os.cpu_count() or 1) + 3)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            pooled = _span_map("default", spins, cavity, coupling, loss)
+            pooled = [_span_map(case, spins, cavity, coupling, loss) for case in cases]
         finally:
             sys.setswitchinterval(interval)
-        for name in ("values", "_row_min", "_row_max"):  # a lost or misplaced row shows here
-            assert np.array_equal(
-                getattr(pooled, name).view(np.int64), getattr(default_map, name).view(np.int64)
-            ), name
+        # a lost or misplaced row, or a lost, reordered or misplaced draw, shows here
+        for case, got, want in zip(cases, pooled, inline):
+            for name in ("values", "_row_min", "_row_max"):
+                assert np.array_equal(
+                    getattr(got, name).view(np.int64), getattr(want, name).view(np.int64)
+                ), (case, name)
 
     @pytest.mark.parametrize("force, workers, pooled", [
         (False, 3, False),  # the default map is below _PARALLEL_CELLS
@@ -524,15 +560,16 @@ class TestSpans:
         threads = []
         each_span = spectra._each_span
 
-        def spy(fn, n_rows, n_cols):
+        def spy(fn, n_rows, n_cols, **kwargs):
             def span(rows):
                 threads.append(threading.current_thread())
                 fn(rows)
-            each_span(span, n_rows, n_cols)
+            each_span(span, n_rows, n_cols, **kwargs)
 
         monkeypatch.setattr(spectra, "_each_span", spy)
         _span_map("default", spins, cavity, coupling, loss)
-        assert len(threads) == (24 if force else 2)  # 12 spans of 221 rows, twice
+        # the kernel's and the row extrema's spans: 12 each when forced, else 2 each
+        assert len(threads) == (24 if force else 4)
         if pooled:
             assert threading.main_thread() not in threads
         else:
@@ -540,7 +577,7 @@ class TestSpans:
 
     def test_bad_cell_in_the_last_span_named(self, monkeypatch):
         pools = _force_pool(monkeypatch)
-        values = np.ones((45, 1401))  # spans of rows 0-19, 20-39 and 40-44
+        values = np.ones((45, 1401))  # spans of 8 rows, two per thread; the last is rows 40-44
         values[44, 700] = np.nan
         with pytest.raises(ValueError, match=r"^values must be finite and >= 0, got nan$"):
             ac.TransmissionMap(np.arange(45.0), np.arange(1.0, 1402.0), values)
@@ -560,25 +597,38 @@ class TestSpans:
     ):
         _force_pool(monkeypatch)
         each_span = spectra._each_span
-
-        def failing(fn, n_rows, n_cols):
-            def span(rows):
-                if rows.stop == n_rows:
-                    raise MemoryError("Unable to allocate the last span")
-                fn(rows)
-            each_span(span, n_rows, n_cols)
-
-        monkeypatch.setattr(spectra, "_each_span", failing)
         before = threading.active_count()
-        with pytest.raises(MemoryError, match="^Unable to allocate the last span$"):
-            _span_map("default", spins, cavity, coupling, loss)
-        assert threading.active_count() == before
-        assert main(["sweep", "--out", str(tmp_path / "m.csv")]) == 2
-        assert capsys.readouterr().err == (
-            "error: field_grid × freq_grid: Unable to allocate the last span\n"
-        )
-        assert threading.active_count() == before
-        assert not (tmp_path / "m.csv").exists()
+        for raiser, case, noise in [
+            ("fill_span", "default", 0.0),
+            ("new_scratch", "default", 0.0),  # the kernel's scratch, allocated in this thread
+            ("draw", "add-noise", 0.2),  # add_noise's draw, in this thread
+            ("scale", "add-noise", 0.2),
+        ]:
+            def failing(fn, n_rows, n_cols, first=None, span_cells=None, raiser=raiser):
+                def fail_last(call):
+                    if call is None or call.__name__ != raiser:
+                        return call
+
+                    def span(rows):
+                        if rows.stop == n_rows:
+                            raise MemoryError("Unable to allocate the last span")
+                        call(rows)
+                    return span
+
+                each_span(fail_last(fn), n_rows, n_cols, fail_last(first), span_cells)
+
+            monkeypatch.setattr(spectra, "_each_span", failing)
+            with pytest.raises(MemoryError, match="^Unable to allocate the last span$"):
+                _span_map(case, spins, cavity, coupling, loss)
+            assert threading.active_count() == before, raiser
+            config, out = tmp_path / f"{raiser}.json", tmp_path / f"{raiser}-map.csv"
+            config.write_text(json.dumps({"noise_sigma_db": noise}))
+            assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2, raiser
+            assert capsys.readouterr().err == (
+                "error: field_grid × freq_grid: Unable to allocate the last span\n"
+            )
+            assert threading.active_count() == before, raiser
+            assert not out.exists()
 
     def test_peak_memory_within_the_map_and_each_workers_scratch(
         self, spins, cavity, coupling, loss, monkeypatch
@@ -600,6 +650,63 @@ class TestSpans:
         row = tmap.freq_axis.nbytes
         buffers = 2 * np.getbufsize() * tmap.values.itemsize
         assert peak <= tmap.values.nbytes + 3 * (4 * row + buffers) + row + 96 * 1024
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_noise_peak_memory_within_the_map(self, default_map, pooled, monkeypatch):
+        if pooled:
+            pools = _force_pool(monkeypatch)  # spans of 20 rows
+        ac.add_noise(default_map, 0.2, 3)  # imports the pool's module
+        tracemalloc.start()
+        try:
+            noisy = ac.add_noise(default_map, 0.2, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not pooled or len(pools) == 4
+        # the noisy map, drawn and scaled in place, and 96 KiB for the generator, the row
+        # extrema and the pool's own objects: no temporary grows with a span (224 KiB here)
+        assert peak <= noisy.values.nbytes + 96 * 1024
+
+    @pytest.mark.parametrize("freq_step, pooled, map_spans, noise_spans", [
+        (0.0005, True, [56, 56, 56, 53], [18] * 12 + [5]),  # 221×14001: 3.09 M cells
+        (0.005, False, [111, 110], [111, 110]),  # the default grid, 310 k cells: two spans
+    ])
+    def test_maps_above_1_mi_cells_fan_out(
+        self, freq_step, pooled, map_spans, noise_spans, spins, cavity, coupling, loss,
+        monkeypatch,
+    ):
+        monkeypatch.setattr(spectra, "_workers", lambda: 2)  # as on a 2-CPU host
+        each_span = spectra._each_span
+        seen = {}  # each span function's (rows, thread) per span
+
+        def spy(fn, n_rows, n_cols, first=None, span_cells=None):
+            def on(call):
+                def span(rows):
+                    seen.setdefault(call.__name__, []).append(
+                        (rows.stop - rows.start, threading.current_thread())
+                    )
+                    call(rows)
+                return span
+
+            each_span(on(fn), n_rows, n_cols, first and on(first), span_cells)
+
+        monkeypatch.setattr(spectra, "_each_span", spy)
+        fields = ac.GridSpec(start=0.0, stop=1.1, step=0.005).samples()
+        freqs = ac.GridSpec(start=8.0, stop=15.0, step=freq_step).samples()
+        ac.add_noise(ac.synthesize_map(fields, freqs, spins, cavity, coupling, loss), 0.2, 3)
+        for name, rows, in_pool in [
+            ("new_scratch", map_spans, False),
+            ("fill_span", map_spans, pooled),
+            ("reduce_span", map_spans * 2, pooled),  # the clean and the noisy map's extrema
+            ("draw", noise_spans, False),
+            ("scale", noise_spans, pooled),
+        ]:
+            assert [n for n, _ in seen[name]] == rows, name
+            threads = {t for _, t in seen[name]}
+            if in_pool:
+                assert threading.main_thread() not in threads, name
+            else:
+                assert threads == {threading.main_thread()}, name
 
     def test_default_sweep_leaves_the_pool_module_unimported(self, tmp_path):
         # concurrent.futures costs 3-5 ms of start-up; only a map that fans out imports it
@@ -645,7 +752,7 @@ class TestSlabs:
         big_g = np.resize([1.72, 0.0, 1e-170, 0.3, 0.0], 45)  # slabs mix G = 0 and G > 0 rows
         assert (1e-170) ** 2 == 0.0  # G² underflows: the row is uncoupled
         loss = ac.LossParams(magnon_linewidth=gamma)
-        pools = _force_pool(monkeypatch)  # spans of rows 0-19, 20-39 and 40-44
+        pools = _force_pool(monkeypatch)  # spans of 8 rows, two per thread; the last is rows 40-44
         if slab_rows is not None:
             monkeypatch.setattr(spectra, "_SLAB_CELLS", slab_rows * freqs.size)
         with warnings.catch_warnings():
